@@ -104,6 +104,13 @@ class Archive:
 
 
 def _record_from_row(row: dict[str, str]) -> ResultRecord:
+    # a ragged CSV row: _rows_from_csv files surplus fields under the key
+    # None and leaves the columns of a short row out
+    if None in row:
+        raise ArchiveError(f"{len(row[None])} field(s) beyond the header's columns")
+    if len(row) < len(CSV_COLUMNS):
+        missing = [key for key in CSV_COLUMNS if key not in row]
+        raise ArchiveError(f"row too short: no value for column(s) {missing}")
     times = {}
     for key in ("swim", "t1", "bike", "t2", "run", "overall"):
         try:
@@ -126,11 +133,20 @@ def _record_from_row(row: dict[str, str]) -> ResultRecord:
 
 def _rows_from_csv(path: Path) -> list[dict[str, str]]:
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ArchiveError(f"{path}: missing header row")
-        _check_columns(reader.fieldnames, path)
-        return [row for row in reader if any(v.strip() for v in row.values() if v)]
+        _check_columns(header, path)
+        width = len(header)
+        rows = []
+        for fields in reader:
+            if any(f.strip() for f in fields):
+                row = dict(zip(header, fields))
+                if len(fields) > width:
+                    row[None] = fields[width:]
+                rows.append(row)
+        return rows
 
 
 def _rows_from_json(path: Path) -> list[dict[str, str]]:
@@ -138,7 +154,9 @@ def _rows_from_json(path: Path) -> list[dict[str, str]]:
         payload = json.load(fh)
     if not isinstance(payload, list):
         raise ArchiveError(f"{path}: expected a JSON array of result objects")
-    for entry in payload:
+    for i, entry in enumerate(payload, start=1):
+        if not isinstance(entry, dict):
+            raise ArchiveError(f"{path}: entry {i} is not a result object: {entry!r}")
         _check_columns(entry.keys(), path)
     return [{k: str(v) for k, v in entry.items()} for entry in payload]
 

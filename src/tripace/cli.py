@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -132,6 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bound_pair(name: str, pair: object) -> tuple[float, float]:
+    """A ``--bounds`` entry as floats; anything but two finite numbers is refused."""
+    if isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair):
+        try:
+            low, high = float(pair[0]), float(pair[1])
+        except OverflowError:  # an integer too large for a float
+            low = high = math.inf
+        if math.isfinite(low) and math.isfinite(high):
+            return low, high
+    raise ValueError(
+        f"bounds for {name!r} must be a [low, high] pair of finite numbers, got {pair!r}"
+    )
+
+
 def _model_from_args(args: argparse.Namespace) -> ModelConfig:
     bounds = dict(DEFAULT_BOUNDS)
     if args.bounds is not None:
@@ -139,8 +154,7 @@ def _model_from_args(args: argparse.Namespace) -> ModelConfig:
         if unknown:
             raise ValueError(f"unknown discipline(s) in bounds: {sorted(unknown)}")
         for name, pair in args.bounds.items():
-            low, high = pair
-            bounds[name] = (float(low), float(high))
+            bounds[name] = _bound_pair(name, pair)
     if args.personal_best is not None:
         return ModelConfig(
             bounds=bounds,

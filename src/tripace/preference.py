@@ -13,6 +13,17 @@ infeasibility penalty.  :func:`fitness_literal` scores feasible candidates
 by their raw total instead and applies no ceiling gate; minimizing it drags
 plans toward the lower bounds, which is rarely what a race plan wants, but
 it is kept for comparison experiments.
+
+:func:`preference_fitness` is the composed definition: it builds the
+extended archive and runs the two-pass correlations over its n + 1 rows, an
+O(n) cost.  The swarm instead evaluates :func:`_position_fitness`, which
+computes the archive's means and centred sums once per run and updates them
+in closed form for each candidate (Welford 1962; Chan, Golub & LeVeque
+1983), so an evaluation costs O(1) whatever the archive size.  The two
+round differently by about 1e-15 in the correlation sum and return the same
+value on the positions real swarm runs visit, which the tests check; the
+composed path stays the reference, and computes the correlations the
+reports print.
 """
 
 from __future__ import annotations
@@ -24,7 +35,13 @@ import numpy as np
 
 from .archive import Archive, extend_archive
 from .pso import PsoConfig, run
-from .stats import CorrelationPair, CorrelationUndefinedError, archive_correlation, pearson
+from .stats import (  # noqa: F401  -- pearson stays a module attribute for span tracers
+    CorrelationPair,
+    CorrelationUndefinedError,
+    appended_pearson,
+    archive_correlation,
+    pearson,
+)
 
 DISCIPLINES = ("swim", "t1", "bike", "t2", "run")
 
@@ -209,33 +226,39 @@ def fitness_literal(
 def _position_fitness(
     base: Archive, cfg: ModelConfig, base_correlation: CorrelationPair
 ) -> Callable[[np.ndarray], float]:
-    """Optimizer-facing closure computing exactly :func:`preference_fitness`.
+    """Optimizer-facing closure computing :func:`preference_fitness` in O(1).
 
-    The archive's sport columns are cached in reusable buffers so each call
-    costs two correlations and no archive rebuild; results are bit-identical
-    to the composed path because the same values flow through the same
-    correlation routine.
+    The archive is fixed for a whole run, so the swim-bike and bike-run
+    correlations of the archive with one candidate row appended come from
+    :func:`~tripace.stats.appended_pearson`: the column means and centred
+    sums are computed once per run, and each call updates them in closed
+    form.  A call costs a few dozen float operations whatever the archive
+    size, where the composed path rebuilds the archive and runs two O(n)
+    two-pass correlations over n + 1 rows.
+
+    The gate order, the ``<=`` comparison with the base sum and the
+    returned values are those of :func:`preference_fitness`, and a zero
+    extended variance scores the penalty there and here.  The closed form
+    rounds differently from the two-pass correlation, within about 1e-15,
+    which would flip the ``<=`` only for a candidate whose appended sum
+    ties the base sum that closely; on every position real swarm runs
+    visit, the two paths return the same value, and the test suite checks
+    that on several archives and seeds.
     """
-    n = len(base)
     ceiling = resolve_target_ceiling(cfg)
     penalty = cfg.infeasible_penalty
     base_sum = base_correlation.sum
-    swim_buf = np.empty(n + 1)
-    bike_buf = np.empty(n + 1)
-    run_buf = np.empty(n + 1)
-    swim_buf[:n] = base.swim_column()
-    bike_buf[:n] = base.bike_column()
-    run_buf[:n] = base.run_column()
+    bike = base.bike_column()
+    swim_bike = appended_pearson(base.swim_column(), bike)
+    bike_run = appended_pearson(bike, base.run_column())
 
     def fitness(position: np.ndarray) -> float:
-        total = position[0] + position[1] + position[2] + position[3] + position[4]
+        x_swim, x_t1, x_bike, x_t2, x_run = position.tolist()
+        total = x_swim + x_t1 + x_bike + x_t2 + x_run
         if total > ceiling:
             return penalty
-        swim_buf[n] = position[0]
-        bike_buf[n] = position[2]
-        run_buf[n] = position[4]
         try:
-            extended = pearson(swim_buf, bike_buf) + pearson(bike_buf, run_buf)
+            extended = swim_bike(x_swim, x_bike) + bike_run(x_bike, x_run)
         except CorrelationUndefinedError:
             return penalty
         if extended <= base_sum:

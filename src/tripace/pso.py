@@ -56,6 +56,10 @@ class PsoConfig:
             raise ValueError("bound vectors must match the dimension")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("each lower bound must be strictly below its upper bound")
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise ValueError(
+                f"learning factors must be finite, got c1={self.c1!r}, c2={self.c2!r}"
+            )
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError("learning factors must be non-negative")
         if self.max_evaluations < self.swarm_size:

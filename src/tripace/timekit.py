@@ -20,6 +20,7 @@ rather than rendered as a string that does not parse back).
 
 from __future__ import annotations
 
+import math
 import re
 
 STYLES = ("hms", "ms", "decimal_minutes")
@@ -89,6 +90,11 @@ def parse_duration(text: str, format_hint: str = "auto") -> float:
     return float(stripped)
 
 
+def _require_finite(minutes: float) -> None:
+    if not math.isfinite(minutes):
+        raise ValueError(f"duration must be finite, got {minutes!r}")
+
+
 def _round_half_up(value: float) -> int:
     # round() would go half-to-even; race listings round half away from zero
     # and all durations here are non-negative.
@@ -103,13 +109,14 @@ def format_duration(minutes: float, style: str) -> str:
     last rendered digit, with carries resolved before splitting into fields
     (so 59.999 s renders as the next full minute, never ``60.00``).
 
-    Raises ``ValueError`` for a negative duration, and for ``ms`` when the
-    value rounded to hundredths of a second is 60 minutes or more, which
-    the ``m:ss[.ss]`` grammar cannot hold.
+    Raises ``ValueError`` for a non-finite or negative duration, and for
+    ``ms`` when the value rounded to hundredths of a second is 60 minutes or
+    more, which the ``m:ss[.ss]`` grammar cannot hold.
     """
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}")
-    if not minutes >= 0.0:
+    _require_finite(minutes)
+    if minutes < 0.0:
         raise ValueError(f"duration must be non-negative, got {minutes!r}")
 
     if style == "decimal_minutes":
@@ -130,6 +137,8 @@ def format_duration(minutes: float, style: str) -> str:
 def format_split(minutes: float) -> str:
     """Render a split the way race reports do: ``m:ss.hh`` under an hour,
     ``h:mm:ss.hh`` from an hour up.  The style switch looks at the rounded
-    value, so 59:59.996 renders as ``1:00:00.00`` rather than ``60:00.00``."""
+    value, so 59:59.996 renders as ``1:00:00.00`` rather than ``60:00.00``.
+    Raises ``ValueError`` as :func:`format_duration` does."""
+    _require_finite(minutes)
     style = "hms" if _round_half_up(minutes * 6000.0) >= 360000 else "ms"
     return format_duration(minutes, style)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
 from helpers import oracle_pearson
 from tripace.archive import (
+    CSV_COLUMNS,
     Archive,
     ArchiveError,
     ResultRecord,
@@ -108,6 +109,31 @@ class TestLoadCsv:
         with pytest.raises(ArchiveError, match="cannot read"):
             load_archive(tmp_path / "nope.csv")
 
+    def test_short_row_skipped(self, tmp_path):
+        path = tmp_path / "short_row.csv"
+        path.write_text(table1_csv_text() + "Cut Off,SLO,PRO-M,6,24.00,2.00,100.00\n")
+        records, skipped = load_archive(path)
+        assert len(records) == 5
+        assert len(skipped) == 1
+        assert "row 7" in skipped[0] and "too short" in skipped[0]
+        assert "['t2', 'run', 'overall']" in skipped[0]
+
+    def test_row_with_extra_fields_skipped(self, tmp_path):
+        path = tmp_path / "long_row.csv"
+        text = table1_csv_text() + "Long Row,SLO,PRO-M,6,24.00,2.00,100.00,2.00,80.00,208.00,x,y\n"
+        path.write_text(text)
+        records, skipped = load_archive(path)
+        assert len(records) == 5
+        assert len(skipped) == 1
+        assert "row 7" in skipped[0] and "2 field(s) beyond" in skipped[0]
+
+    def test_extra_fields_after_empty_columns_skipped(self, tmp_path):
+        path = tmp_path / "stray.csv"
+        path.write_text(table1_csv_text() + ",,,,,,,,,,stray\n")
+        records, skipped = load_archive(path)
+        assert len(records) == 5
+        assert len(skipped) == 1 and "beyond" in skipped[0]
+
 
 class TestLoadJson:
     def test_equivalent_to_csv(self, tmp_path, table1_records):
@@ -131,6 +157,20 @@ class TestLoadJson:
         path = tmp_path / "object.json"
         path.write_text("{}")
         with pytest.raises(ArchiveError, match="JSON array"):
+            load_archive(path)
+
+    @pytest.mark.parametrize(
+        "payload, entry",
+        [
+            ([1, 2], "entry 1"),
+            ([dict(zip(CSV_COLUMNS, TABLE1_ROWS[0])), "row"], "entry 2"),
+            ([[]], "entry 1"),
+        ],
+    )
+    def test_non_object_entry(self, tmp_path, payload, entry):
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArchiveError, match=f"{entry} is not a result object"):
             load_archive(path)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import SYNTH_MEANS, SYNTH_SPREADS
+from conftest import SYNTH_MEANS, SYNTH_SPREADS, table1_csv_text
 from tripace.cli import main
 from tripace.experiment import (
     ExperimentConfig,
@@ -158,6 +158,28 @@ class TestCorrelateCommand:
         assert code == 2
         assert "bike" in capsys.readouterr().err
 
+    def test_json_entry_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "numbers.json"
+        path.write_text("[1, 2]")
+        code = main(["correlate", "--archive", str(path), "--group", "M"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "entry 1 is not a result object" in err
+
+    def test_short_and_long_csv_rows_skipped_with_message(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text(
+            table1_csv_text()
+            + "Cut Off,SLO,PRO-M,6,24.00\n"
+            + "Long Row,SLO,PRO-M,7,24.00,2.00,100.00,2.00,80.00,208.00,x\n"
+        )
+        code = main(["correlate", "--archive", str(path), "--group", "PRO-M", "--top-n", "5"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "skipped 2 row(s)" in err
+        assert "row 7: row too short" in err and "row 8: 1 field(s) beyond" in err
+        assert "Traceback" not in err
+
     def test_synth_source_prints_values_near_targets(self, capsys):
         code = main(["correlate", "--synth-spec", high_spec_json()])
         assert code == 0
@@ -237,6 +259,41 @@ class TestPredictCommand:
         code = main(self.predict_args(["--kmax", "200"]))
         assert code == 2
         assert "feasible set is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--c1", "--c2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_factor_exits_2(self, capsys, option, value):
+        code = main(self.predict_args([option, value]))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: learning factors must be finite")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            '{"swim": 5}',
+            '{"swim": [1]}',
+            '{"swim": [20, 30, 40]}',
+            '{"swim": ["a", "b"]}',
+            '{"swim": ["20", "40"]}',
+            '{"swim": [true, 40]}',
+            '{"swim": null}',
+            '{"swim": {"low": 20, "high": 40}}',
+            '{"swim": [20, NaN]}',
+            '{"swim": [20, Infinity]}',
+            '{"swim": [20, 1e400]}',
+            pytest.param('{"swim": [20, 1' + "0" * 400 + "]}", id="integer-beyond-float"),
+        ],
+    )
+    def test_malformed_bounds_exit_2(self, capsys, bounds):
+        code = main(self.predict_args(["--bounds", bounds]))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bounds for 'swim' must be a [low, high] pair")
+        assert len(captured.err.splitlines()) == 1
 
     def test_all_runs_infeasible_exits_3(self, capsys):
         code = main([

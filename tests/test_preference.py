@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import SYNTH_MEANS, SYNTH_SPREADS
 from helpers import oracle_pearson
-from tripace.archive import Archive, extend_archive
+from tripace.archive import Archive, extend_archive, synthesize_archive
 from tripace.preference import (
     ModelConfig,
     NoFeasibleSolutionError,
@@ -17,7 +18,7 @@ from tripace.preference import (
     resolve_target_ceiling,
     total_time,
 )
-from tripace.pso import PsoConfig
+from tripace.pso import PsoConfig, run
 from tripace.stats import CorrelationPair, archive_correlation
 from tripace.timekit import parse_duration
 
@@ -302,6 +303,75 @@ class TestPositionFitnessEquivalence:
                 SplitVector.from_array(position), high_corr_archive, cfg, pair
             )
             assert fast(position) == composed
+
+
+@pytest.fixture(scope="module")
+def field_archive():
+    return synthesize_archive(
+        seed=7,
+        size=1_000,
+        target_swim_bike_r=0.6,
+        target_bike_run_r=0.2,
+        split_means=SYNTH_MEANS,
+        split_spreads=SYNTH_SPREADS,
+        label="field",
+        group="M25-29",
+    )
+
+
+def swarm_visited_positions(archive, cfg, seed):
+    """Every position one full-budget swarm run evaluates on ``archive``."""
+    fast = _position_fitness(archive, cfg, archive_correlation(archive))
+    visited = []
+
+    def recording(position):
+        visited.append(position.copy())
+        return fast(position)
+
+    pso_cfg = PsoConfig(
+        swarm_size=50,
+        dimension=5,
+        lower=cfg.lower_bounds(),
+        upper=cfg.upper_bounds(),
+        rng_seed=seed,
+    )
+    run(pso_cfg, recording)
+    return visited
+
+
+class TestPositionFitnessOnSwarmPaths:
+    """The closed-form fitness returns exactly what the composed path
+    returns on every position a real swarm visits.  The swarm converges on
+    the edge of the feasible set, where random points in the box rarely
+    fall and where candidates pass the correlation test by the smallest
+    margins."""
+
+    @pytest.mark.parametrize(
+        "archive_name, seeds",
+        [
+            ("high_corr_archive", (3, 4, 5)),
+            ("low_corr_archive", (3, 4, 5)),
+            ("field_archive", (3, 4)),
+        ],
+    )
+    def test_every_visited_position_matches_composed_path(self, archive_name, seeds, request):
+        archive = request.getfixturevalue(archive_name)
+        cfg = ModelConfig()
+        pair = archive_correlation(archive)
+        fast = _position_fitness(archive, cfg, pair)
+        for seed in seeds:
+            visited = swarm_visited_positions(archive, cfg, seed)
+            assert len(visited) == 10_000
+            feasible = correlation_rejects = 0
+            for position in visited:
+                composed = preference_fitness(SplitVector.from_array(position), archive, cfg, pair)
+                assert fast(position) == composed, (seed, position.tolist())
+                if composed < cfg.infeasible_penalty:
+                    feasible += 1
+                elif sum(position.tolist()) <= 300.0:
+                    correlation_rejects += 1
+            # both outcomes of the correlation test occur on the path
+            assert feasible > 0 and correlation_rejects > 0
 
 
 class TestPredict:

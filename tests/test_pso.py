@@ -45,6 +45,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="learning factors"):
             make_config(c1=-0.1)
 
+    @pytest.mark.parametrize("factor", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_factor(self, factor, value):
+        with pytest.raises(ValueError, match="learning factors must be finite"):
+            make_config(**{factor: value})
+
 
 class TestInitSwarm:
     def test_positions_within_bounds_and_budget(self):

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import TABLE1_BIKE, TABLE1_RUN, TABLE1_SWIM
 from helpers import oracle_pearson
-from tripace.stats import CorrelationUndefinedError, archive_correlation, pearson
+from tripace.stats import (
+    CorrelationUndefinedError,
+    appended_pearson,
+    archive_correlation,
+    pearson,
+)
 
 
 class TestPearsonReference:
@@ -37,6 +42,42 @@ class TestPearsonReference:
         x = np.linspace(0.1, 117.3, 50)
         y = 2.0 * x + 3.0
         r = pearson(x, y)
+        assert 1.0 - 1e-12 <= r <= 1.0
+
+
+class TestAppendedPearson:
+    def test_reference_values(self):
+        for x, y in ((TABLE1_SWIM, TABLE1_BIKE), (TABLE1_BIKE, TABLE1_RUN)):
+            appended = appended_pearson(x[:-1], y[:-1])(x[-1], y[-1])
+            assert appended == pytest.approx(pearson(x, y), abs=1e-14)
+
+    def test_base_unchanged_across_calls(self):
+        correlation = appended_pearson(TABLE1_SWIM, TABLE1_BIKE)
+        first = correlation(30.0, 120.0)
+        correlation(20.0, 90.0)
+        assert correlation(30.0, 120.0) == first
+
+    def test_constant_base_with_new_point_is_defined(self):
+        correlation = appended_pearson((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
+        expected = pearson((1.0, 1.0, 1.0, 2.0), (1.0, 2.0, 3.0, 4.0))
+        assert correlation(2.0, 4.0) == pytest.approx(expected, abs=1e-14)
+
+    def test_zero_variance(self):
+        correlation = appended_pearson((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
+        with pytest.raises(CorrelationUndefinedError, match="zero variance in x"):
+            correlation(1.0, 4.0)
+
+    def test_too_short(self):
+        with pytest.raises(CorrelationUndefinedError, match="at least 3"):
+            appended_pearson((1.0,), (1.0,))
+
+    def test_length_mismatch(self):
+        with pytest.raises(CorrelationUndefinedError, match="length mismatch"):
+            appended_pearson((1.0, 2.0, 3.0), (1.0, 2.0))
+
+    def test_clamped_to_unit_interval(self):
+        x = np.linspace(0.1, 117.3, 50)
+        r = appended_pearson(x, 2.0 * x + 3.0)(118.0, 239.0)
         assert 1.0 - 1e-12 <= r <= 1.0
 
 
@@ -131,3 +172,34 @@ def test_affine_invariance(pair, a, b, negate):
     scaled = [a * v + b for v in x]
     sign = 1.0 if a > 0 else -1.0
     assert pearson(scaled, y) == pytest.approx(sign * pearson(x, y), abs=1e-12)
+
+
+# Samples shaped like split columns: a centre at most 100 spreads from zero
+# and standardised values of real spread.  Both routes round within about
+# 1e-15 there; a spread tiny next to the mean leaves either route only a
+# few correct digits.
+def _column(scale, ratio, z):
+    return [ratio * scale + scale * v for v in z]
+
+
+standard = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=150),
+    data=st.data(),
+    scales=st.tuples(st.floats(0.5, 100.0), st.floats(0.5, 100.0)),
+    ratios=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    rho=st.floats(min_value=-1.0, max_value=1.0),
+    new=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_appended_matches_pearson_on_appended_arrays(n, data, scales, ratios, rho, new):
+    zx = data.draw(st.lists(standard, min_size=n, max_size=n))
+    noise = data.draw(st.lists(standard, min_size=n, max_size=n))
+    zy = [rho * a + (1.0 - abs(rho)) * b for a, b in zip(zx, noise)]
+    assume(np.std(zx) >= 0.5 and np.std(zy) >= 0.5)
+    *x, x_new = _column(scales[0], ratios[0], zx + [new[0]])
+    *y, y_new = _column(scales[1], ratios[1], zy + [new[1]])
+    closed = appended_pearson(x, y)(x_new, y_new)
+    assert closed == pytest.approx(pearson(x + [x_new], y + [y_new]), abs=1e-12)

@@ -92,6 +92,12 @@ class TestFormat:
         with pytest.raises(ValueError):
             format_duration(1.0, "centuries")
 
+    @pytest.mark.parametrize("style", ["hms", "ms", "decimal_minutes"])
+    @pytest.mark.parametrize("minutes", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, minutes, style):
+        with pytest.raises(ValueError, match="must be finite"):
+            format_duration(minutes, style)
+
 
 class TestFormatSplit:
     def test_under_an_hour(self):
@@ -102,6 +108,11 @@ class TestFormatSplit:
 
     def test_rounds_up_to_the_hour(self):
         assert format_split(59.9999999) == "1:00:00.00"
+
+    @pytest.mark.parametrize("minutes", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, minutes):
+        with pytest.raises(ValueError, match="must be finite"):
+            format_split(minutes)
 
 
 # Half of the last rendered digit: hundredth-seconds for clock styles,
