@@ -39,7 +39,7 @@ from .preference import (
     resolve_target_ceiling,
     total_time,
 )
-from .pso import Particle, PsoConfig, PsoResult, SwarmState, init_swarm, run, step_particle
+from .pso import PsoConfig, PsoResult, run
 from .stats import (
     CorrelationPair,
     CorrelationUndefinedError,
@@ -63,14 +63,12 @@ __all__ = [
     "ExperimentReport",
     "ModelConfig",
     "NoFeasibleSolutionError",
-    "Particle",
     "PredictionResult",
     "PsoConfig",
     "PsoResult",
     "ResultRecord",
     "RunOutcome",
     "SplitVector",
-    "SwarmState",
     "SynthesisError",
     "archive_correlation",
     "emit_report",
@@ -79,7 +77,6 @@ __all__ = [
     "format_duration",
     "format_split",
     "improvement_time",
-    "init_swarm",
     "load_archive",
     "parse_duration",
     "pearson",
@@ -89,7 +86,6 @@ __all__ = [
     "run",
     "run_experiment",
     "select_group",
-    "step_particle",
     "synthesize_archive",
     "total_time",
     "write_archive_csv",

@@ -15,7 +15,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -131,7 +131,8 @@ def _record_from_row(row: dict[str, str]) -> ResultRecord:
     )
 
 
-def _rows_from_csv(path: Path) -> list[dict[str, str]]:
+def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
+    """Non-blank rows as they are read, each with the file line it ends on."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -139,17 +140,16 @@ def _rows_from_csv(path: Path) -> list[dict[str, str]]:
             raise ArchiveError(f"{path}: missing header row")
         _check_columns(header, path)
         width = len(header)
-        rows = []
         for fields in reader:
             if any(f.strip() for f in fields):
                 row = dict(zip(header, fields))
                 if len(fields) > width:
                     row[None] = fields[width:]
-                rows.append(row)
-        return rows
+                yield reader.line_num, row
 
 
-def _rows_from_json(path: Path) -> list[dict[str, str]]:
+def _rows_from_json(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
+    """Result objects, each with its 1-based entry number."""
     with path.open(encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, list):
@@ -158,7 +158,8 @@ def _rows_from_json(path: Path) -> list[dict[str, str]]:
         if not isinstance(entry, dict):
             raise ArchiveError(f"{path}: entry {i} is not a result object: {entry!r}")
         _check_columns(entry.keys(), path)
-    return [{k: str(v) for k, v in entry.items()} for entry in payload]
+    for i, entry in enumerate(payload, start=1):
+        yield i, {k: str(v) for k, v in entry.items()}
 
 
 def _check_columns(names: Iterable[str], path: Path) -> None:
@@ -176,7 +177,9 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[list[ResultRec
     """Load result rows from a CSV or JSON export.
 
     Returns ``(records, skipped)`` where ``skipped`` holds one message per
-    row that was dropped for violating record sanity checks.  Raises
+    row that was dropped for violating record sanity checks, naming the row
+    by its line in a CSV file (the line it ends on) or its entry number in
+    a JSON array.  Raises
     :class:`ArchiveError` for structural problems: unreadable file, unknown
     or missing columns, or zero parseable rows.
     """
@@ -185,22 +188,21 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[list[ResultRec
         format = "json" if p.suffix.lower() == ".json" else "csv"
     if format not in ("csv", "json"):
         raise ValueError(f"unknown archive format {format!r}")
+    rows = _rows_from_json(p) if format == "json" else _rows_from_csv(p)
+    records: list[ResultRecord] = []
+    skipped: list[str] = []
     try:
-        rows = _rows_from_json(p) if format == "json" else _rows_from_csv(p)
+        for i, row in rows:  # reading happens here, one row at a time
+            try:
+                records.append(_record_from_row(row))
+            except ArchiveError as exc:
+                message = f"{p.name} row {i}: {exc}"
+                skipped.append(message)
+                log.warning("skipping %s", message)
     except OSError as exc:
         raise ArchiveError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"{p}: invalid JSON: {exc}") from exc
-
-    records: list[ResultRecord] = []
-    skipped: list[str] = []
-    for i, row in enumerate(rows, start=2 if format == "csv" else 1):
-        try:
-            records.append(_record_from_row(row))
-        except ArchiveError as exc:
-            message = f"{p.name} row {i}: {exc}"
-            skipped.append(message)
-            log.warning("skipping %s", message)
     if not records:
         raise ArchiveError(f"{p}: zero parseable rows")
     return records, skipped

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -43,11 +42,13 @@ def _parse_json_arg(value: str, what: str) -> dict:
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError:
-        path = Path(value)
-        if not path.is_file():
+        # not JSON: a path, which may also be too long, a directory or unreadable
+        try:
+            text = Path(value).read_text(encoding="utf-8")
+        except (OSError, ValueError):
             raise argparse.ArgumentTypeError(f"{what} is neither JSON nor a readable file: {value!r}")
         try:
-            parsed = json.loads(path.read_text(encoding="utf-8"))
+            parsed = json.loads(text)
         except json.JSONDecodeError as exc:
             raise argparse.ArgumentTypeError(f"{what} file {value!r} is not valid JSON: {exc}")
     if not isinstance(parsed, dict):
@@ -133,28 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bound_pair(name: str, pair: object) -> tuple[float, float]:
-    """A ``--bounds`` entry as floats; anything but two finite numbers is refused."""
-    if isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair):
-        try:
-            low, high = float(pair[0]), float(pair[1])
-        except OverflowError:  # an integer too large for a float
-            low = high = math.inf
-        if math.isfinite(low) and math.isfinite(high):
-            return low, high
-    raise ValueError(
-        f"bounds for {name!r} must be a [low, high] pair of finite numbers, got {pair!r}"
-    )
-
-
 def _model_from_args(args: argparse.Namespace) -> ModelConfig:
     bounds = dict(DEFAULT_BOUNDS)
     if args.bounds is not None:
         unknown = set(args.bounds) - set(DISCIPLINES)
         if unknown:
             raise ValueError(f"unknown discipline(s) in bounds: {sorted(unknown)}")
-        for name, pair in args.bounds.items():
-            bounds[name] = _bound_pair(name, pair)
+        bounds.update(args.bounds)  # ModelConfig refuses malformed pairs
     if args.personal_best is not None:
         return ModelConfig(
             bounds=bounds,

@@ -35,7 +35,13 @@ OUTPUT_FORMATS = ("text", "csv", "json")
 SPLIT_HEADERS = ("Swimming", "T1", "Cycling", "T2", "Running")
 
 _SYNTH_REQUIRED = ("seed", "size", "r_swim_bike", "r_bike_run", "means", "spreads")
-_SYNTH_OPTIONAL = ("label", "group", "tolerance", "max_tries")
+# The type of each synthesis spec entry; the lists hold numbers.
+_SYNTH_TYPES = {
+    "seed": int, "size": int, "r_swim_bike": float, "r_bike_run": float,
+    "means": list, "spreads": list, "label": str, "group": str,
+    "tolerance": float, "max_tries": int,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of numbers", str: "a string"}
 
 
 class ExperimentError(RuntimeError):
@@ -109,21 +115,31 @@ def synthesize_from_spec(spec: dict) -> Archive:
     Required keys: seed, size, r_swim_bike, r_bike_run, means (5 numbers),
     spreads (5 numbers).  Optional: label, group, tolerance, max_tries.
     """
-    unknown = set(spec) - set(_SYNTH_REQUIRED) - set(_SYNTH_OPTIONAL)
+    unknown = set(spec) - set(_SYNTH_TYPES)
     if unknown:
         raise ValueError(f"unknown synthesis spec key(s): {sorted(unknown)}")
     missing = set(_SYNTH_REQUIRED) - set(spec)
     if missing:
         raise ValueError(f"synthesis spec missing key(s): {sorted(missing)}")
-    extras = {k: spec[k] for k in _SYNTH_OPTIONAL if k in spec}
+    values = {}
+    for key, value in spec.items():
+        kind = _SYNTH_TYPES[key]
+        try:
+            if kind in (list, str) and not isinstance(value, kind):
+                raise TypeError(value)
+            values[key] = [float(v) for v in value] if kind is list else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"synthesis spec key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}"
+            ) from None
     return synthesize_archive(
-        seed=int(spec["seed"]),
-        size=int(spec["size"]),
-        target_swim_bike_r=float(spec["r_swim_bike"]),
-        target_bike_run_r=float(spec["r_bike_run"]),
-        split_means=spec["means"],
-        split_spreads=spec["spreads"],
-        **extras,
+        seed=values.pop("seed"),
+        size=values.pop("size"),
+        target_swim_bike_r=values.pop("r_swim_bike"),
+        target_bike_run_r=values.pop("r_bike_run"),
+        split_means=values.pop("means"),
+        split_spreads=values.pop("spreads"),
+        **values,
     )
 
 

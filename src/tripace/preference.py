@@ -28,7 +28,9 @@ reports print.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -86,6 +88,20 @@ class SplitVector:
         return cls(*(float(v) for v in values))
 
 
+def _finite_pair(name: str, pair: object) -> tuple[float, float]:
+    """A bound as a tuple or list of two finite numbers; anything else raises."""
+    if isinstance(pair, (tuple, list)) and len(pair) == 2:
+        if all(isinstance(v, Real) and not isinstance(v, bool) for v in pair):
+            try:
+                if math.isfinite(pair[0]) and math.isfinite(pair[1]):
+                    return pair[0], pair[1]
+            except OverflowError:  # an integer too large for a float
+                pass
+    raise ValueError(
+        f"bounds for {name!r} must be a [low, high] pair of finite numbers, got {pair!r}"
+    )
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Feasible box, target ceiling policy, and the infeasibility penalty.
@@ -106,10 +122,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.target_policy not in TARGET_POLICIES:
             raise ValueError(f"unknown target policy {self.target_policy!r}")
-        if set(self.bounds) != set(DISCIPLINES):
-            raise ValueError(f"bounds must cover exactly {DISCIPLINES}")
+        if not isinstance(self.bounds, dict) or set(self.bounds) != set(DISCIPLINES):
+            raise ValueError(f"bounds must be a dict covering exactly {DISCIPLINES}")
         for name in DISCIPLINES:
-            low, high = self.bounds[name]
+            low, high = _finite_pair(name, self.bounds[name])
             if not 0.0 < low < high:
                 raise ValueError(f"bad bound for {name!r}: [{low}, {high}]")
         ceiling = resolve_target_ceiling(self)
@@ -225,7 +241,7 @@ def fitness_literal(
 
 def _position_fitness(
     base: Archive, cfg: ModelConfig, base_correlation: CorrelationPair
-) -> Callable[[np.ndarray], float]:
+) -> Callable[[tuple[float, ...]], float]:
     """Optimizer-facing closure computing :func:`preference_fitness` in O(1).
 
     The archive is fixed for a whole run, so the swim-bike and bike-run
@@ -252,8 +268,8 @@ def _position_fitness(
     swim_bike = appended_pearson(base.swim_column(), bike)
     bike_run = appended_pearson(bike, base.run_column())
 
-    def fitness(position: np.ndarray) -> float:
-        x_swim, x_t1, x_bike, x_t2, x_run = position.tolist()
+    def fitness(position: tuple[float, ...]) -> float:
+        x_swim, x_t1, x_bike, x_t2, x_run = position
         total = x_swim + x_t1 + x_bike + x_t2 + x_run
         if total > ceiling:
             return penalty

@@ -2,33 +2,43 @@
 
 This is the original 1995 formulation: no inertia weight, no velocity
 clamping, no neighborhood topology.  Per particle and per step the velocity
-update draws exactly two uniform scalars,
+update uses exactly two uniform scalars,
 
-    v' = v + c1 * u1 * (pbest - x) + c2 * u2 * (gbest - x)
+    v' = v + (c1 * u1) * (pbest - x) + (c2 * u2) * (gbest - x)
     x' = x + v'
 
 with u1 and u2 each applied to the whole difference vector.  Scalar draws
 per term (not per component) are deliberate and behavior-affecting; do not
 "fix" this to the per-component variant.  Out-of-bounds components of x' are
 clamped to the violated bound and the corresponding velocity component is
-zeroed.
+zeroed.  :func:`move` is that step, one particle at a time.
 
-Reproducibility contract: a single seeded generator drives one run.  Draw
-order is fixed as (a) initialization consumes one length-D uniform vector
-per particle in index order, (b) each step consumes u1 then u2, particles
-in index order within a generation.  Best updates use <=, so a later equal
-score replaces the incumbent.
+The swarm state is plain Python floats: per particle a position, a velocity
+and a personal best, each a tuple of D floats.  Vectors of five components
+are too short for numpy to pay for its per-call overhead.  Fitness receives
+the position as a tuple of floats; :class:`PsoResult` returns the best
+position as an ndarray.
+
+Reproducibility contract: a single seeded generator drives one run.
+Initialization draws all NP * D uniforms in one call, particle by particle
+and component by component within a particle.  Each later generation
+draws its 2 * NP scalars in one call and reads them as u1, u2 of particle
+0, then u1, u2 of particle 1, and so on.  ``Generator.random(n)`` yields the
+same stream as n single draws, so this is the same sequence as drawing
+u1 then u2 at every move; a generation cut short by the budget draws its
+full 2 * NP, which the run never reads.  Best updates use <=, so a later
+equal score replaces the incumbent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-Fitness = Callable[[np.ndarray], float]
+Fitness = Callable[[tuple[float, ...]], float]
 
 
 @dataclass(frozen=True)
@@ -41,9 +51,6 @@ class PsoConfig:
     c2: float = 2.0
     max_evaluations: int = 10_000
     rng_seed: int = 0
-
-    lower_array: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    upper_array: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
@@ -66,26 +73,6 @@ class PsoConfig:
             raise ValueError(
                 "max_evaluations must cover at least one evaluation per particle"
             )
-        # cached ndarray views of the bounds; hot paths touch these every step
-        object.__setattr__(self, "lower_array", np.asarray(self.lower, dtype=float))
-        object.__setattr__(self, "upper_array", np.asarray(self.upper, dtype=float))
-
-
-@dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    personal_best_position: np.ndarray
-    personal_best_value: float
-
-
-@dataclass
-class SwarmState:
-    particles: list[Particle]
-    global_best_position: np.ndarray
-    global_best_value: float
-    evaluations_used: int = 0
-    history: list[float] = field(default_factory=list)
 
 
 class PsoResult(NamedTuple):
@@ -95,125 +82,111 @@ class PsoResult(NamedTuple):
     history: list[float]
 
 
-def _evaluate(fitness: Fitness, position: np.ndarray) -> float:
-    value = float(fitness(position))
-    # Non-finite scores count against the budget but can never become a best.
-    return value if math.isfinite(value) else math.inf
+def move(
+    position: Sequence[float],
+    velocity: Sequence[float],
+    personal_best: Sequence[float],
+    global_best: Sequence[float],
+    c1: float,
+    c2: float,
+    u1: float,
+    u2: float,
+    lower: Sequence[float],
+    upper: Sequence[float],
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """One particle move: velocity update, position update, bound repair.
 
-
-def init_swarm(
-    config: PsoConfig, fitness: Fitness, rng: np.random.Generator | None = None
-) -> SwarmState:
-    """Spawn the swarm and evaluate every initial position once.
-
-    Positions are drawn componentwise uniform within the bounds, velocities
-    start at zero, and personal/global bests come from the initial
-    evaluations (swarm_size evaluations in total).
+    Componentwise ``v' = v + (c1*u1)*(p - x) + (c2*u2)*(g - x)`` and
+    ``x' = x + v'``; a component of ``x'`` outside its bound is clamped to
+    the violated bound and its velocity component set to 0.0.  Returns the
+    new ``(position, velocity)`` as tuples and leaves every input as it was.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    lower = config.lower_array
-    upper = config.upper_array
-
-    particles: list[Particle] = []
-    best_position: np.ndarray | None = None
-    best_value = math.inf
-    for _ in range(config.swarm_size):
-        position = lower + rng.random(config.dimension) * (upper - lower)
-        value = _evaluate(fitness, position)
-        particles.append(
-            Particle(
-                position=position,
-                velocity=np.zeros(config.dimension),
-                personal_best_position=position.copy(),
-                personal_best_value=value,
-            )
-        )
-        if value <= best_value and math.isfinite(value):
-            best_position = position.copy()
-            best_value = value
-    if best_position is None:
-        best_position = particles[0].position.copy()
-    state = SwarmState(
-        particles=particles,
-        global_best_position=best_position,
-        global_best_value=best_value,
-        evaluations_used=config.swarm_size,
-    )
-    state.history.append(state.global_best_value)
-    return state
-
-
-def step_particle(
-    particle: Particle,
-    global_best: np.ndarray,
-    config: PsoConfig,
-    rng: np.random.Generator,
-) -> Particle:
-    """Move one particle: velocity update, position update, bound repair.
-
-    Draws u1 then u2 from ``rng``.  The returned particle keeps the personal
-    best of the input; evaluating the new position is the caller's job.
-    """
-    u1 = rng.random()
-    u2 = rng.random()
-    velocity = (
-        particle.velocity
-        + config.c1 * u1 * (particle.personal_best_position - particle.position)
-        + config.c2 * u2 * (global_best - particle.position)
-    )
-    position = particle.position + velocity
-
-    lower = config.lower_array
-    upper = config.upper_array
-    below = position < lower
-    above = position > upper
-    if below.any() or above.any():
-        position = np.where(below, lower, np.where(above, upper, position))
-        velocity = np.where(below | above, 0.0, velocity)
-
-    return Particle(
-        position=position,
-        velocity=velocity,
-        personal_best_position=particle.personal_best_position,
-        personal_best_value=particle.personal_best_value,
-    )
+    a = c1 * u1
+    b = c2 * u2
+    new_position = []
+    new_velocity = []
+    for x, v, p, g, low, high in zip(position, velocity, personal_best, global_best, lower, upper):
+        v = v + a * (p - x) + b * (g - x)
+        x = x + v
+        if x < low:
+            x = low
+            v = 0.0
+        elif x > high:
+            x = high
+            v = 0.0
+        new_position.append(x)
+        new_velocity.append(v)
+    return tuple(new_position), tuple(new_velocity)
 
 
 def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     """Minimize ``fitness`` within the bounds under the evaluation budget.
 
-    The initial generation evaluates the random starting positions; every
-    later generation moves, evaluates and ranks each particle in index
-    order, so particles later in the scan already see bests found earlier in
-    the same generation.  Stops as soon as the budget is exhausted, mid
-    generation if need be.  The history holds the global best after each
-    generation and never increases.
+    The initial generation evaluates the random starting positions, with
+    velocities at zero; every later generation moves, evaluates and ranks
+    each particle in index order, so particles later in the scan already
+    see bests found earlier in the same generation.  Stops as soon as the
+    budget is exhausted, mid generation if need be.  The history holds the
+    global best after each generation and never increases.
     """
     rng = np.random.default_rng(config.rng_seed)
-    state = init_swarm(config, fitness, rng)
+    size = config.swarm_size
+    dim = config.dimension
+    budget = config.max_evaluations
+    c1 = config.c1
+    c2 = config.c2
+    lower = config.lower
+    upper = config.upper
+    isfinite = math.isfinite
 
-    while state.evaluations_used < config.max_evaluations:
-        for particle in state.particles:
-            if state.evaluations_used >= config.max_evaluations:
-                break
-            moved = step_particle(particle, state.global_best_position, config, rng)
-            particle.position = moved.position
-            particle.velocity = moved.velocity
-            value = _evaluate(fitness, particle.position)
-            state.evaluations_used += 1
-            if math.isfinite(value):
-                if value <= particle.personal_best_value:
-                    particle.personal_best_position = particle.position.copy()
-                    particle.personal_best_value = value
-                if value <= state.global_best_value:
-                    state.global_best_position = particle.position.copy()
-                    state.global_best_value = value
-        state.history.append(state.global_best_value)
+    widths = [high - low for low, high in zip(lower, upper)]
+    draws = rng.random(size * dim).tolist()
+    positions = [
+        tuple(low + u * w for low, u, w in zip(lower, draws[i * dim : (i + 1) * dim], widths))
+        for i in range(size)
+    ]
+    velocities = [(0.0,) * dim] * size
+    personal_values = []
+    # particle 0 stands in as the global best while no score is finite
+    best_position = positions[0]
+    best_value = math.inf
+    for position in positions:
+        value = float(fitness(position))
+        # Non-finite scores count against the budget but never become a best.
+        if not isfinite(value):
+            value = math.inf
+        elif value <= best_value:
+            best_position = position
+            best_value = value
+        personal_values.append(value)
+    personal_bests = list(positions)
+    used = size
+    history = [best_value]
+
+    while used < budget:
+        moves = min(size, budget - used)
+        u = rng.random(2 * size).tolist()
+        for i in range(moves):
+            position, velocity = move(
+                positions[i], velocities[i], personal_bests[i], best_position,
+                c1, c2, u[2 * i], u[2 * i + 1], lower, upper,
+            )
+            positions[i] = position
+            velocities[i] = velocity
+            value = float(fitness(position))
+            if isfinite(value):
+                if value <= personal_values[i]:
+                    personal_bests[i] = position
+                    personal_values[i] = value
+                if value <= best_value:
+                    best_position = position
+                    best_value = value
+        used += moves
+        history.append(best_value)
 
     return PsoResult(
-        best_position=state.global_best_position.copy(),
-        best_value=state.global_best_value,
-        evaluations_used=state.evaluations_used,
-        history=list(state.history),
+        best_position=np.array(best_position),
+        best_value=best_value,
+        evaluations_used=used,
+        history=history,
     )

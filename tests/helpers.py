@@ -1,13 +1,19 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the package's own numeric paths: plain-Python
-accumulation for the correlation coefficient and a componentwise loop for
-the swarm step, so agreement checks actually compare two routes.
+accumulation for the correlation coefficient, a componentwise loop for
+the swarm step, and a numpy whole-run swarm engine, so agreement checks
+actually compare two routes.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from tripace.pso import PsoResult
 
 
 def oracle_pearson(x, y) -> float:
@@ -38,3 +44,96 @@ def oracle_step(x, v, pbest, gbest, c1, c2, u1, u2, lower, upper):
             new_x[j] = upper[j]
             new_v[j] = 0.0
     return new_x, new_v
+
+
+# ---------------------------------------------------------------------------
+# Reference swarm engine: the numpy formulation the package shipped before
+# its scalar engine, frozen here as an oracle for ``tripace.pso.run``.  It
+# draws one length-D vector per particle at initialisation and u1, u2 per
+# move, allocates a fresh particle per move, and passes fitness an ndarray.
+
+
+@dataclass
+class _Particle:
+    position: np.ndarray
+    velocity: np.ndarray
+    personal_best_position: np.ndarray
+    personal_best_value: float
+
+
+def _reference_evaluate(fitness, position: np.ndarray) -> float:
+    value = float(fitness(position))
+    return value if math.isfinite(value) else math.inf
+
+
+def _reference_step(particle: _Particle, global_best, c1, c2, lower, upper, rng) -> _Particle:
+    u1 = rng.random()
+    u2 = rng.random()
+    velocity = (
+        particle.velocity
+        + c1 * u1 * (particle.personal_best_position - particle.position)
+        + c2 * u2 * (global_best - particle.position)
+    )
+    position = particle.position + velocity
+    below = position < lower
+    above = position > upper
+    if below.any() or above.any():
+        position = np.where(below, lower, np.where(above, upper, position))
+        velocity = np.where(below | above, 0.0, velocity)
+    return _Particle(
+        position=position,
+        velocity=velocity,
+        personal_best_position=particle.personal_best_position,
+        personal_best_value=particle.personal_best_value,
+    )
+
+
+def reference_run(config, fitness) -> PsoResult:
+    """The pre-scalar swarm engine; same contract as ``tripace.pso.run``."""
+    rng = np.random.default_rng(config.rng_seed)
+    lower = np.asarray(config.lower, dtype=float)
+    upper = np.asarray(config.upper, dtype=float)
+
+    particles: list[_Particle] = []
+    best_position = None
+    best_value = math.inf
+    for _ in range(config.swarm_size):
+        position = lower + rng.random(config.dimension) * (upper - lower)
+        value = _reference_evaluate(fitness, position)
+        particles.append(
+            _Particle(position, np.zeros(config.dimension), position.copy(), value)
+        )
+        if value <= best_value and math.isfinite(value):
+            best_position = position.copy()
+            best_value = value
+    if best_position is None:
+        best_position = particles[0].position.copy()
+    used = config.swarm_size
+    history = [best_value]
+
+    while used < config.max_evaluations:
+        for particle in particles:
+            if used >= config.max_evaluations:
+                break
+            moved = _reference_step(
+                particle, best_position, config.c1, config.c2, lower, upper, rng
+            )
+            particle.position = moved.position
+            particle.velocity = moved.velocity
+            value = _reference_evaluate(fitness, particle.position)
+            used += 1
+            if math.isfinite(value):
+                if value <= particle.personal_best_value:
+                    particle.personal_best_position = particle.position.copy()
+                    particle.personal_best_value = value
+                if value <= best_value:
+                    best_position = particle.position.copy()
+                    best_value = value
+        history.append(best_value)
+
+    return PsoResult(
+        best_position=best_position.copy(),
+        best_value=best_value,
+        evaluations_used=used,
+        history=history,
+    )

@@ -44,7 +44,7 @@ from tripace.preference import (
     SplitVector,
     predict,
 )
-from tripace.pso import Particle, PsoConfig, run, step_particle
+from tripace.pso import PsoConfig, move, run
 from tripace.stats import archive_correlation, pearson
 from tripace.timekit import format_duration, parse_duration
 
@@ -87,20 +87,21 @@ def test_criterion_2_step_oracle_equivalence():
                 max_evaluations=10,
                 rng_seed=0,
             )
-            x = gen.uniform(lower, upper)
-            v = gen.uniform(-3.0, 3.0, dimension)
-            pb = gen.uniform(lower, upper)
-            gb = gen.uniform(lower, upper)
-            particle = Particle(x.copy(), v.copy(), pb.copy(), 0.0)
+            x = gen.uniform(lower, upper).tolist()
+            v = gen.uniform(-3.0, 3.0, dimension).tolist()
+            pb = gen.uniform(lower, upper).tolist()
+            gb = gen.uniform(lower, upper).tolist()
             seed = int(gen.integers(1 << 31))
-            moved = step_particle(particle, gb, cfg, np.random.default_rng(seed))
-            check = np.random.default_rng(seed)
-            u1, u2 = check.random(), check.random()
+            draw = np.random.default_rng(seed)
+            u1, u2 = draw.random(), draw.random()
+            position, velocity = move(
+                x, v, pb, gb, cfg.c1, cfg.c2, u1, u2, cfg.lower, cfg.upper
+            )
             ox, ov = oracle_step(x, v, pb, gb, cfg.c1, cfg.c2, u1, u2, lower, upper)
             worst = max(
                 worst,
-                float(np.max(np.abs(moved.position - np.array(ox)))),
-                float(np.max(np.abs(moved.velocity - np.array(ov)))),
+                float(np.max(np.abs(np.array(position) - np.array(ox)))),
+                float(np.max(np.abs(np.array(velocity) - np.array(ov)))),
             )
             cases += 1
 

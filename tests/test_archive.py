@@ -84,6 +84,29 @@ class TestLoadCsv:
         assert len(skipped) == 1
         assert "row 7" in skipped[0]
 
+    def test_skipped_row_named_by_file_line(self, tmp_path):
+        # a blank line and an all-empty line sit above the bad row: it is
+        # the 6th row with a value but on line 9 of the file
+        path = tmp_path / "gaps.csv"
+        lines = table1_csv_text().splitlines()
+        lines[3:3] = ["", ",,,,,,,,,"]
+        lines.append("Bad Row,SLO,PRO-M,6,24.00,2.00,100.00,2.00,80.00,300.00")
+        path.write_text("\n".join(lines) + "\n")
+        assert path.read_text().splitlines()[8].startswith("Bad Row")
+        records, skipped = load_archive(path)
+        assert len(records) == 5
+        assert skipped == [
+            "gaps.csv row 9: overall 300.0000 differs from split sum 208.0000 "
+            "by more than 0.05 min"
+        ]
+
+    def test_quoted_multiline_field_counts_its_lines(self, tmp_path):
+        path = tmp_path / "multiline.csv"
+        text = table1_csv_text() + '"Two\nLines",SLO,PRO-M,6,24.00,2.00,100.00,2.00,80.00,300.00\n'
+        path.write_text(text)
+        _, skipped = load_archive(path)
+        assert len(skipped) == 1 and skipped[0].startswith("multiline.csv row 8:")
+
     def test_malformed_time_row_skipped(self, tmp_path):
         path = tmp_path / "dnf.csv"
         text = table1_csv_text() + "DNF Guy,SLO,PRO-M,6,24.00,--:--,100.00,2.00,80.00,206.00\n"

@@ -331,3 +331,33 @@ class TestSynthCommand:
     def test_bad_spec_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["synth", "--synth-spec", "{not json", "--out", "x.csv"])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", None),
+            ("size", [30]),
+            ("r_swim_bike", {"r": 0.7}),
+            ("means", "34,3.5,167,3.5,92"),
+            ("spreads", None),
+            ("max_tries", "many"),
+            ("tolerance", [0.1]),
+            ("label", 7),
+        ],
+    )
+    def test_mistyped_spec_entry_exits_2(self, tmp_path, capsys, key, value):
+        spec = json.dumps(dict(HIGH_SPEC, **{key: value}))
+        code = main(["synth", "--synth-spec", spec, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: synthesis spec key {key!r} must be")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "value", ["x" * 300, ".", "nul\x00byte"], ids=["name-too-long", "directory", "nul-byte"]
+    )
+    def test_spec_neither_json_nor_a_readable_file_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--synth-spec", value, "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "neither JSON nor a readable file" in capsys.readouterr().err

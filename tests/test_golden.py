@@ -1,0 +1,69 @@
+"""Golden reports: ``tripace predict`` output is byte-identical for a fixed seed.
+
+The reference synthetic archive (spec seed 1, 30 rows, r = (0.73, 0.0)) is
+predicted five times at ``--seed 10`` with the default swarm (NP 50,
+10 000 evaluations, c1 = c2 = 2, ceiling 300), and each report format is
+compared byte for byte with a file under ``tests/golden/``.  A change that
+moves a single byte of these reports changes behaviour.
+
+To regenerate the files after an intended behaviour change::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from tripace.cli import main
+
+GOLDEN_DIR = Path(__file__).with_name("golden")
+
+REFERENCE_SPEC = {
+    "seed": 1,
+    "size": 30,
+    "r_swim_bike": 0.73,
+    "r_bike_run": 0.0,
+    "means": [34.0, 3.5, 167.0, 3.5, 92.0],
+    "spreads": [2.0, 0.7, 4.0, 0.7, 5.0],
+}
+
+FORMATS = {"text": "txt", "csv": "csv", "json": "json"}
+
+
+def render(output: str) -> str:
+    """The stdout of the reference ``predict`` call in one report format."""
+    argv = [
+        "predict",
+        "--synth-spec", json.dumps(REFERENCE_SPEC),
+        "--runs", "5",
+        "--seed", "10",
+        "--output", output,
+    ]
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(argv)
+    assert code == 0
+    return buffer.getvalue()
+
+
+def golden_path(output: str) -> Path:
+    return GOLDEN_DIR / f"predict_ref_seed10.{FORMATS[output]}"
+
+
+@pytest.mark.parametrize("output", sorted(FORMATS))
+def test_report_matches_golden_file(output):
+    expected = golden_path(output).read_bytes()
+    assert render(output).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in FORMATS:
+        golden_path(name).write_bytes(render(name).encode("utf-8"))
+        print(f"wrote {golden_path(name)}")

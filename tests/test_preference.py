@@ -7,6 +7,7 @@ from conftest import SYNTH_MEANS, SYNTH_SPREADS
 from helpers import oracle_pearson
 from tripace.archive import Archive, extend_archive, synthesize_archive
 from tripace.preference import (
+    DEFAULT_BOUNDS,
     ModelConfig,
     NoFeasibleSolutionError,
     SplitVector,
@@ -79,6 +80,36 @@ class TestModelConfig:
     def test_bounds_key_set_enforced(self):
         with pytest.raises(ValueError, match="bounds"):
             ModelConfig(bounds={"swim": (25.0, 50.0)})
+
+    @pytest.mark.parametrize("bounds", [None, 5, list(DEFAULT_BOUNDS.items())])
+    def test_bounds_must_be_a_dict(self, bounds):
+        with pytest.raises(ValueError, match="bounds must be a dict"):
+            ModelConfig(bounds=bounds)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            5,
+            None,
+            "ab",
+            (25.0,),
+            (25.0, 40.0, 50.0),
+            {25.0: 1, 50.0: 2},
+            ("25", "50"),
+            (True, 50.0),
+            (25.0, float("inf")),
+            (float("nan"), 50.0),
+            (25, 10**400),
+        ],
+    )
+    def test_bound_must_be_a_pair_of_finite_numbers(self, pair):
+        with pytest.raises(ValueError, match=r"bounds for 'swim' must be a \[low, high\] pair of finite numbers"):
+            ModelConfig(bounds=dict(DEFAULT_BOUNDS, swim=pair))
+
+    @pytest.mark.parametrize("pair", [(25, 50), [25.0, 50.0], (np.float64(25.0), 50)])
+    def test_bound_pairs_of_numbers_accepted(self, pair):
+        cfg = ModelConfig(bounds=dict(DEFAULT_BOUNDS, swim=pair))
+        assert cfg.lower_bounds()[0] == 25.0 and cfg.upper_bounds()[0] == 50.0
 
     def test_contains(self):
         cfg = ModelConfig()
@@ -302,7 +333,7 @@ class TestPositionFitnessEquivalence:
             composed = preference_fitness(
                 SplitVector.from_array(position), high_corr_archive, cfg, pair
             )
-            assert fast(position) == composed
+            assert fast(tuple(position.tolist())) == composed
 
 
 @pytest.fixture(scope="module")
@@ -325,7 +356,7 @@ def swarm_visited_positions(archive, cfg, seed):
     visited = []
 
     def recording(position):
-        visited.append(position.copy())
+        visited.append(np.array(position))
         return fast(position)
 
     pso_cfg = PsoConfig(
@@ -365,7 +396,7 @@ class TestPositionFitnessOnSwarmPaths:
             feasible = correlation_rejects = 0
             for position in visited:
                 composed = preference_fitness(SplitVector.from_array(position), archive, cfg, pair)
-                assert fast(position) == composed, (seed, position.tolist())
+                assert fast(tuple(position.tolist())) == composed, (seed, position.tolist())
                 if composed < cfg.infeasible_penalty:
                     feasible += 1
                 elif sum(position.tolist()) <= 300.0:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import oracle_step
-from tripace.pso import Particle, PsoConfig, init_swarm, run, step_particle
+from helpers import oracle_step, reference_run
+from tripace.pso import PsoConfig, move, run
 
 TABLE_BOUNDS = ((25.0, 2.0, 140.0, 2.0, 85.0), (50.0, 5.0, 180.0, 5.0, 120.0))
 
@@ -52,89 +52,93 @@ class TestConfigValidation:
             make_config(**{factor: value})
 
 
+def record_run(cfg, fitness=None):
+    """``run`` plus every position it passed to fitness, in call order."""
+    fitness = sphere if fitness is None else fitness
+    seen = []
+
+    def recording(position):
+        seen.append(position)
+        return fitness(position)
+
+    return run(cfg, recording), seen
+
+
 class TestInitSwarm:
+    """The initial generation: the first ``swarm_size`` evaluations of a run."""
+
     def test_positions_within_bounds_and_budget(self):
-        cfg = make_config(lower=TABLE_BOUNDS[0], upper=TABLE_BOUNDS[1])
-        state = init_swarm(cfg, sphere)
-        assert len(state.particles) == 50
-        assert state.evaluations_used == 50
-        lower = np.array(TABLE_BOUNDS[0])
-        upper = np.array(TABLE_BOUNDS[1])
-        for p in state.particles:
-            assert np.all(p.position >= lower) and np.all(p.position <= upper)
-            assert np.all(p.velocity == 0.0)
-            assert p.personal_best_value == sphere(p.personal_best_position)
+        cfg = make_config(lower=TABLE_BOUNDS[0], upper=TABLE_BOUNDS[1], max_evaluations=50)
+        result, seen = record_run(cfg)
+        assert len(seen) == 50
+        assert result.evaluations_used == 50
+        for position in seen:
+            assert isinstance(position, tuple) and len(position) == 5
+            assert all(type(v) is float for v in position)
+            assert all(lo <= v <= hi for v, lo, hi in zip(position, *TABLE_BOUNDS))
+
+    def test_velocities_start_at_zero(self):
+        # with no attraction a particle moves by its velocity alone, so the
+        # second generation repeats the first exactly when velocities are zero
+        cfg = make_config(c1=0.0, c2=0.0, max_evaluations=100)
+        _, seen = record_run(cfg)
+        assert seen[50:] == seen[:50]
 
     def test_deterministic(self):
-        cfg = make_config()
-        a = init_swarm(cfg, sphere)
-        b = init_swarm(cfg, sphere)
-        for pa, pb in zip(a.particles, b.particles):
-            assert np.array_equal(pa.position, pb.position)
-        assert a.global_best_value == b.global_best_value
-        assert np.array_equal(a.global_best_position, b.global_best_position)
+        cfg = make_config(max_evaluations=50)
+        a, seen_a = record_run(cfg)
+        b, seen_b = record_run(cfg)
+        assert seen_a == seen_b
+        assert a.best_value == b.best_value
+        assert np.array_equal(a.best_position, b.best_position)
 
     def test_global_best_is_min_of_personal_bests(self):
-        state = init_swarm(make_config(), sphere)
-        assert state.global_best_value == min(p.personal_best_value for p in state.particles)
+        result, seen = record_run(make_config(max_evaluations=50))
+        values = [sphere(position) for position in seen]
+        assert result.history == [min(values)]
+        assert result.best_value == min(values)
+        assert tuple(result.best_position) == seen[values.index(min(values))]
 
     def test_sliver_bounds(self):
         eps = 1e-9
-        cfg = make_config(lower=(1.0 - eps,) * 5, upper=(1.0,) * 5)
-        state = init_swarm(cfg, sphere)
-        for p in state.particles:
-            assert np.all(p.position >= 1.0 - eps) and np.all(p.position <= 1.0)
+        cfg = make_config(lower=(1.0 - eps,) * 5, upper=(1.0,) * 5, max_evaluations=50)
+        _, seen = record_run(cfg)
+        for position in seen:
+            assert all(1.0 - eps <= v <= 1.0 for v in position)
+
+
+def move_with(x, v, pbest, gbest, cfg, u1=0.3, u2=0.7):
+    return move(x, v, pbest, gbest, cfg.c1, cfg.c2, u1, u2, cfg.lower, cfg.upper)
 
 
 class TestStepParticle:
+    """``move``: one particle's velocity update, position update and repair."""
+
     def test_zero_learning_factors_keep_velocity(self):
         cfg = make_config(c1=0.0, c2=0.0)
-        particle = Particle(
-            position=np.zeros(5),
-            velocity=np.full(5, 0.25),
-            personal_best_position=np.ones(5),
-            personal_best_value=5.0,
-        )
-        rng = np.random.default_rng(3)
-        moved = step_particle(particle, np.full(5, -1.0), cfg, rng)
-        assert np.array_equal(moved.velocity, np.full(5, 0.25))
-        assert np.array_equal(moved.position, np.full(5, 0.25))
+        position, velocity = move_with((0.0,) * 5, (0.25,) * 5, (1.0,) * 5, (-1.0,) * 5, cfg)
+        assert velocity == (0.25,) * 5
+        assert position == (0.25,) * 5
 
     def test_attraction_vanishes_at_shared_best(self):
         cfg = make_config()
-        x = np.full(5, 0.5)
-        particle = Particle(
-            position=x.copy(),
-            velocity=np.full(5, 0.125),
-            personal_best_position=x.copy(),
-            personal_best_value=1.25,
-        )
-        moved = step_particle(particle, x.copy(), cfg, np.random.default_rng(4))
-        assert np.array_equal(moved.velocity, np.full(5, 0.125))
+        x = (0.5,) * 5
+        _, velocity = move_with(x, (0.125,) * 5, x, x, cfg)
+        assert velocity == (0.125,) * 5
 
     def test_outward_velocity_clamped_and_zeroed(self):
         cfg = make_config(dimension=1, lower=(-5.0,), upper=(5.0,))
-        particle = Particle(
-            position=np.array([5.0]),
-            velocity=np.array([1.0]),
-            personal_best_position=np.array([5.0]),
-            personal_best_value=25.0,
-        )
-        moved = step_particle(particle, np.array([5.0]), cfg, np.random.default_rng(5))
-        assert moved.position[0] == 5.0
-        assert moved.velocity[0] == 0.0
+        position, velocity = move_with((5.0,), (1.0,), (5.0,), (5.0,), cfg)
+        assert position == (5.0,)
+        assert velocity == (0.0,)
 
     def test_personal_best_untouched(self):
         cfg = make_config()
-        particle = Particle(
-            position=np.zeros(5),
-            velocity=np.zeros(5),
-            personal_best_position=np.full(5, 2.0),
-            personal_best_value=20.0,
-        )
-        moved = step_particle(particle, np.full(5, -2.0), cfg, np.random.default_rng(6))
-        assert np.array_equal(moved.personal_best_position, np.full(5, 2.0))
-        assert moved.personal_best_value == 20.0
+        x, v, pbest, gbest = [0.0] * 5, [0.0] * 5, [2.0] * 5, [-2.0] * 5
+        position, velocity = move_with(x, v, pbest, gbest, cfg)
+        assert pbest == [2.0] * 5
+        assert (x, v, gbest) == ([0.0] * 5, [0.0] * 5, [-2.0] * 5)
+        assert position != tuple(x)
 
     @pytest.mark.parametrize("dimension", [1, 5])
     def test_matches_oracle_transcription(self, dimension):
@@ -151,23 +155,84 @@ class TestStepParticle:
                 max_evaluations=100,
                 swarm_size=10,
             )
-            x = gen.uniform(lower, upper)
-            v = gen.uniform(-2.0, 2.0, dimension)
-            pb = gen.uniform(lower, upper)
-            gb = gen.uniform(lower, upper)
-            particle = Particle(
-                position=x.copy(),
-                velocity=v.copy(),
-                personal_best_position=pb.copy(),
-                personal_best_value=0.0,
-            )
+            x = gen.uniform(lower, upper).tolist()
+            v = gen.uniform(-2.0, 2.0, dimension).tolist()
+            pb = gen.uniform(lower, upper).tolist()
+            gb = gen.uniform(lower, upper).tolist()
             seed = int(gen.integers(1 << 31))
-            moved = step_particle(particle, gb, cfg, np.random.default_rng(seed))
-            check = np.random.default_rng(seed)
-            u1, u2 = check.random(), check.random()
+            draw = np.random.default_rng(seed)
+            u1, u2 = draw.random(), draw.random()
+            position, velocity = move_with(x, v, pb, gb, cfg, u1, u2)
             ox, ov = oracle_step(x, v, pb, gb, cfg.c1, cfg.c2, u1, u2, lower, upper)
-            assert moved.position == pytest.approx(ox, abs=1e-12)
-            assert moved.velocity == pytest.approx(ov, abs=1e-12)
+            assert position == pytest.approx(ox, abs=1e-12)
+            assert velocity == pytest.approx(ov, abs=1e-12)
+
+
+def run_both(cfg, fitness):
+    """``run`` and ``reference_run`` on one config, with their fitness inputs."""
+    seen, seen_reference = [], []
+
+    def recording(position):
+        seen.append(position)
+        return fitness(position)
+
+    def recording_reference(position):
+        seen_reference.append(tuple(position.tolist()))
+        return fitness(position)
+
+    return run(cfg, recording), seen, reference_run(cfg, recording_reference), seen_reference
+
+
+class TestMatchesReferenceEngine:
+    """``run`` reproduces the frozen numpy engine bit for bit: same result,
+    same history and the same positions passed to fitness in the same order."""
+
+    def assert_identical(self, cfg, fitness=sphere):
+        result, seen, reference, seen_reference = run_both(cfg, fitness)
+        assert seen == seen_reference
+        assert len(seen) == reference.evaluations_used
+        assert result.best_position.dtype == reference.best_position.dtype
+        assert np.array_equal(result.best_position, reference.best_position)
+        assert result.best_value == reference.best_value
+        assert result.evaluations_used == reference.evaluations_used
+        assert result.history == reference.history
+
+    @pytest.mark.parametrize("dimension", [1, 5])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeds(self, seed, dimension):
+        cfg = make_config(
+            dimension=dimension,
+            lower=(-5.0,) * dimension,
+            upper=(5.0,) * dimension,
+            max_evaluations=1_000,
+            rng_seed=seed,
+        )
+        self.assert_identical(cfg)
+
+    @pytest.mark.parametrize("budget", [175, 1_037])
+    def test_budget_stops_mid_generation(self, budget):
+        self.assert_identical(make_config(max_evaluations=budget, rng_seed=3))
+
+    def test_table_bounds(self):
+        cfg = make_config(lower=TABLE_BOUNDS[0], upper=TABLE_BOUNDS[1], max_evaluations=2_000)
+        self.assert_identical(cfg)
+
+    def test_sliver_bounds(self):
+        eps = 1e-9
+        cfg = make_config(lower=(1.0 - eps,) * 5, upper=(1.0,) * 5, max_evaluations=500)
+        self.assert_identical(cfg)
+
+    def test_zero_learning_factors(self):
+        self.assert_identical(make_config(c1=0.0, c2=0.0, max_evaluations=500, rng_seed=4))
+
+    def test_nan_on_part_of_the_box(self):
+        def partial_nan(x):
+            return math.nan if x[0] > 0.0 else sphere(x)
+
+        self.assert_identical(make_config(max_evaluations=2_000, rng_seed=2), partial_nan)
+
+    def test_inf_everywhere(self):
+        self.assert_identical(make_config(max_evaluations=200), lambda x: math.inf)
 
 
 class TestRun:
