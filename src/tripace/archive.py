@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -24,8 +23,6 @@ from .timekit import DurationParseError, parse_duration
 
 if TYPE_CHECKING:
     from .preference import SplitVector
-
-log = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("name", "nation", "category", "place", "swim", "t1", "bike", "t2", "run", "overall")
 
@@ -196,9 +193,7 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[list[ResultRec
             try:
                 records.append(_record_from_row(row))
             except ArchiveError as exc:
-                message = f"{p.name} row {i}: {exc}"
-                skipped.append(message)
-                log.warning("skipping %s", message)
+                skipped.append(f"{p.name} row {i}: {exc}")
     except OSError as exc:
         raise ArchiveError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:

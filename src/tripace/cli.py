@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 
+# A personal-best-derived ceiling aims five percent under the best prior time.
+PERSONAL_BEST_IMPROVEMENT = 0.05
+
 
 def _parse_json_arg(value: str, what: str) -> dict:
     """Accept inline JSON, or a path to a JSON file."""
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
     target = p.add_mutually_exclusive_group()
     target.add_argument(
-        "--kmax", type=float, default=None, metavar="MINUTES",
+        "--kmax", type=float, default=300.0, metavar="MINUTES",
         help="target ceiling for the overall time (default 300)",
     )
     target.add_argument(
@@ -141,17 +144,10 @@ def _model_from_args(args: argparse.Namespace) -> ModelConfig:
         if unknown:
             raise ValueError(f"unknown discipline(s) in bounds: {sorted(unknown)}")
         bounds.update(args.bounds)  # ModelConfig refuses malformed pairs
+    ceiling = args.kmax
     if args.personal_best is not None:
-        return ModelConfig(
-            bounds=bounds,
-            target_ceiling=None,
-            target_policy="from_personal_best",
-            personal_best=args.personal_best,
-        )
-    return ModelConfig(
-        bounds=bounds,
-        target_ceiling=300.0 if args.kmax is None else args.kmax,
-    )
+        ceiling = (1.0 - PERSONAL_BEST_IMPROVEMENT) * args.personal_best
+    return ModelConfig(bounds=bounds, target_ceiling=ceiling)
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:

@@ -128,6 +128,8 @@ def synthesize_from_spec(spec: dict) -> Archive:
             if kind in (list, str) and not isinstance(value, kind):
                 raise TypeError(value)
             values[key] = [float(v) for v in value] if kind is list else kind(value)
+            if kind is int and (isinstance(value, bool) or values[key] != value):
+                raise TypeError(value)  # a bool, or a number int() would truncate
         except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"synthesis spec key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}"
@@ -172,7 +174,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         seed = cfg.base_seed + index
         pso_cfg = PsoConfig(
             swarm_size=cfg.swarm_size,
-            dimension=len(DISCIPLINES),
             lower=cfg.model.lower_bounds(),
             upper=cfg.model.upper_bounds(),
             c1=cfg.c1,

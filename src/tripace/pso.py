@@ -44,7 +44,6 @@ Fitness = Callable[[tuple[float, ...]], float]
 @dataclass(frozen=True)
 class PsoConfig:
     swarm_size: int
-    dimension: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     c1: float = 2.0
@@ -57,10 +56,8 @@ class PsoConfig:
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
         if self.swarm_size < 1:
             raise ValueError(f"swarm_size must be positive, got {self.swarm_size}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be positive, got {self.dimension}")
-        if len(self.lower) != self.dimension or len(self.upper) != self.dimension:
-            raise ValueError("bound vectors must match the dimension")
+        if not self.lower or len(self.lower) != len(self.upper):
+            raise ValueError("bound vectors must be non-empty and of equal length")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("each lower bound must be strictly below its upper bound")
         if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
@@ -131,12 +128,12 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     """
     rng = np.random.default_rng(config.rng_seed)
     size = config.swarm_size
-    dim = config.dimension
     budget = config.max_evaluations
     c1 = config.c1
     c2 = config.c2
     lower = config.lower
     upper = config.upper
+    dim = len(lower)
     isfinite = math.isfinite
 
     widths = [high - low for low, high in zip(lower, upper)]

@@ -2,8 +2,8 @@
 
 These deliberately avoid the package's own numeric paths: plain-Python
 accumulation for the correlation coefficient, a componentwise loop for
-the swarm step, and a numpy whole-run swarm engine, so agreement checks
-actually compare two routes.
+the swarm step, a numpy whole-run swarm engine, and the objective composed
+from the extended archive, so agreement checks actually compare two routes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tripace.archive import Archive, extend_archive
+from tripace.preference import ModelConfig, SplitVector
 from tripace.pso import PsoResult
+from tripace.stats import CorrelationPair, CorrelationUndefinedError, archive_correlation
 
 
 def oracle_pearson(x, y) -> float:
@@ -44,6 +47,32 @@ def oracle_step(x, v, pbest, gbest, c1, c2, u1, u2, lower, upper):
             new_x[j] = upper[j]
             new_v[j] = 0.0
     return new_x, new_v
+
+
+def preference_fitness(
+    x: SplitVector, base: Archive, cfg: ModelConfig, base_correlation: CorrelationPair
+) -> float:
+    """The predictor's objective by its definition, to be minimized.
+
+    A candidate is feasible when its total stays at or under the target
+    ceiling *and* appending it to the archive strictly raises the archive's
+    correlation sum.  Feasible candidates score ``ceiling - total``;
+    everything else (including candidates that leave the extended
+    correlation undefined) scores the flat infeasibility penalty.  This
+    builds the extended archive and runs the two-pass correlations over its
+    n + 1 rows, the O(n) route that ``tripace.preference._position_fitness``
+    replaces with closed-form updates.
+    """
+    total = x.total()
+    if total > cfg.target_ceiling:
+        return cfg.infeasible_penalty
+    try:
+        extended = archive_correlation(extend_archive(base, x)).sum
+    except CorrelationUndefinedError:
+        return cfg.infeasible_penalty
+    if extended <= base_correlation.sum:
+        return cfg.infeasible_penalty
+    return cfg.target_ceiling - total
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +122,16 @@ def reference_run(config, fitness) -> PsoResult:
     rng = np.random.default_rng(config.rng_seed)
     lower = np.asarray(config.lower, dtype=float)
     upper = np.asarray(config.upper, dtype=float)
+    dimension = len(lower)
 
     particles: list[_Particle] = []
     best_position = None
     best_value = math.inf
     for _ in range(config.swarm_size):
-        position = lower + rng.random(config.dimension) * (upper - lower)
+        position = lower + rng.random(dimension) * (upper - lower)
         value = _reference_evaluate(fitness, position)
         particles.append(
-            _Particle(position, np.zeros(config.dimension), position.copy(), value)
+            _Particle(position, np.zeros(dimension), position.copy(), value)
         )
         if value <= best_value and math.isfinite(value):
             best_position = position.copy()

@@ -79,7 +79,6 @@ def test_criterion_2_step_oracle_equivalence():
             upper = tuple(gen.uniform(0.5, 10.0, dimension))
             cfg = PsoConfig(
                 swarm_size=5,
-                dimension=dimension,
                 lower=lower,
                 upper=upper,
                 c1=float(gen.uniform(0.0, 3.0)),
@@ -109,7 +108,6 @@ def test_criterion_2_step_oracle_equivalence():
     for seed in range(5):
         cfg = PsoConfig(
             swarm_size=50,
-            dimension=5,
             lower=(-5.0,) * 5,
             upper=(5.0,) * 5,
             max_evaluations=3_000,
@@ -134,7 +132,6 @@ def test_criterion_3_engine_sanity_sphere():
     for seed in range(20):
         cfg = PsoConfig(
             swarm_size=50,
-            dimension=5,
             lower=(-5.0,) * 5,
             upper=(5.0,) * 5,
             c1=2.0,
@@ -199,7 +196,6 @@ def test_criterion_5_dispersion_ordering(high_corr_archive, low_corr_archive):
         for seed in range(seed0, seed0 + 20):
             pso_cfg = PsoConfig(
                 swarm_size=50,
-                dimension=5,
                 lower=(0.0,) * 5,
                 upper=(1.0,) * 5,
                 max_evaluations=10_000,

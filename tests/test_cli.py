@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,25 @@ class TestCorrelateCommand:
         assert "row 7: row too short" in err and "row 8: 1 field(s) beyond" in err
         assert "Traceback" not in err
 
+    def test_skipped_row_reported_once(self, tmp_path):
+        # a separate interpreter, because in-process pytest captures logging
+        # records and would hide a second copy printed through logging
+        path = tmp_path / "dnf.csv"
+        path.write_text(
+            table1_csv_text() + "DNF Guy,SLO,PRO-M,6,24.00,--:--,100.00,2.00,80.00,206.00\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tripace.cli", "correlate", "--archive", str(path),
+             "--group", "PRO-M", "--top-n", "5"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stderr.startswith("skipped 1 row(s) while loading:\n")
+        assert done.stderr.count("dnf.csv row 7:") == 1
+
     def test_synth_source_prints_values_near_targets(self, capsys):
         code = main(["correlate", "--synth-spec", high_spec_json()])
         assert code == 0
@@ -240,6 +263,12 @@ class TestPredictCommand:
         doc = json.loads(capsys.readouterr().out)
         for entry in doc["runs"]:
             assert entry["total_min"] <= 0.95 * 303.0 + 1e-9
+
+    def test_personal_best_is_a_five_percent_lower_kmax(self, capsys):
+        assert main(self.predict_args(["--personal-best", "303", "--output", "json"])) == 0
+        from_personal_best = capsys.readouterr().out
+        assert main(self.predict_args(["--kmax", repr(0.95 * 303), "--output", "json"])) == 0
+        assert capsys.readouterr().out == from_personal_best
 
     def test_bounds_override(self, capsys):
         code = main(
@@ -343,6 +372,10 @@ class TestSynthCommand:
             ("max_tries", "many"),
             ("tolerance", [0.1]),
             ("label", 7),
+            ("seed", 1.9),
+            ("size", 30.7),
+            ("max_tries", True),
+            ("seed", False),
         ],
     )
     def test_mistyped_spec_entry_exits_2(self, tmp_path, capsys, key, value):
@@ -352,6 +385,13 @@ class TestSynthCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: synthesis spec key {key!r} must be")
         assert len(captured.err.splitlines()) == 1
+
+    def test_integral_float_entries_accepted(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        floats = json.dumps(dict(HIGH_SPEC, seed=1.0, size=30.0, max_tries=500.0))
+        assert main(["synth", "--synth-spec", floats, "--out", str(a)]) == 0
+        assert main(["synth", "--synth-spec", high_spec_json(), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
         "value", ["x" * 300, ".", "nul\x00byte"], ids=["name-too-long", "directory", "nul-byte"]

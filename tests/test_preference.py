@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SYNTH_MEANS, SYNTH_SPREADS
-from helpers import oracle_pearson
+from helpers import oracle_pearson, preference_fitness
 from tripace.archive import Archive, extend_archive, synthesize_archive
 from tripace.preference import (
     DEFAULT_BOUNDS,
@@ -12,12 +12,8 @@ from tripace.preference import (
     NoFeasibleSolutionError,
     SplitVector,
     _position_fitness,
-    fitness_literal,
-    improvement_time,
     predict,
-    preference_fitness,
     resolve_target_ceiling,
-    total_time,
 )
 from tripace.pso import PsoConfig, run
 from tripace.stats import CorrelationPair, archive_correlation
@@ -28,7 +24,6 @@ def make_pso(seed, max_evaluations=10_000, swarm_size=50):
     # bounds are placeholders; predict() swaps in the model's box
     return PsoConfig(
         swarm_size=swarm_size,
-        dimension=5,
         lower=(0.0,) * 5,
         upper=(1.0,) * 5,
         max_evaluations=max_evaluations,
@@ -44,7 +39,6 @@ class TestSplitVector:
     def test_total(self):
         x = SplitVector(30.0, 3.0, 160.0, 3.0, 95.0)
         assert x.total() == 291.0
-        assert total_time(x) == 291.0
 
     def test_array_round_trip(self):
         x = SplitVector(30.0, 3.0, 160.0, 3.0, 95.0)
@@ -72,10 +66,6 @@ class TestModelConfig:
     def test_penalty_must_exceed_roof(self):
         with pytest.raises(ValueError, match="penalty"):
             ModelConfig(infeasible_penalty=350.0)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            ModelConfig(target_policy="wishful")
 
     def test_bounds_key_set_enforced(self):
         with pytest.raises(ValueError, match="bounds"):
@@ -111,28 +101,13 @@ class TestModelConfig:
         cfg = ModelConfig(bounds=dict(DEFAULT_BOUNDS, swim=pair))
         assert cfg.lower_bounds()[0] == 25.0 and cfg.upper_bounds()[0] == 50.0
 
-    def test_contains(self):
-        cfg = ModelConfig()
-        assert cfg.contains(SplitVector(25.0, 2.0, 140.0, 2.0, 85.0))
-        assert not cfg.contains(SplitVector(24.9, 2.0, 140.0, 2.0, 85.0))
-
 
 class TestResolveTargetCeiling:
     def test_explicit(self):
         assert resolve_target_ceiling(ModelConfig(target_ceiling=300.0)) == 300.0
 
-    def test_from_personal_best(self):
-        cfg = ModelConfig(
-            target_ceiling=None, target_policy="from_personal_best", personal_best=303.0
-        )
-        assert resolve_target_ceiling(cfg) == pytest.approx(287.85)
-
-    def test_missing_personal_best(self):
-        with pytest.raises(ValueError, match="personal_best"):
-            ModelConfig(target_ceiling=None, target_policy="from_personal_best")
-
     def test_missing_explicit_ceiling(self):
-        with pytest.raises(ValueError, match="target_ceiling"):
+        with pytest.raises(ValueError, match="target ceiling None"):
             ModelConfig(target_ceiling=None)
 
 
@@ -141,25 +116,12 @@ class TestTotalTime:
         splits = SplitVector(
             *(parse_duration(t) for t in ("33:51.15", "2:48.87", "2:47:33.79", "3:48.42", "1:31:57.68"))
         )
-        assert total_time(splits) == pytest.approx(parse_duration("4:59:59.93"), abs=0.01)
+        assert splits.total() == pytest.approx(parse_duration("4:59:59.93"), abs=0.01)
 
     def test_box_corners(self):
         cfg = ModelConfig()
-        assert total_time(SplitVector(*cfg.lower_bounds())) == pytest.approx(254.0)
-        assert total_time(SplitVector(*cfg.upper_bounds())) == pytest.approx(360.0)
-
-
-class TestImprovementTime:
-    cfg = ModelConfig()
-
-    def test_overshoot_returns_negative_gap(self):
-        assert improvement_time(from_total(301.0), self.cfg) == pytest.approx(-1.0)
-
-    def test_under_ceiling_returns_penalty(self):
-        assert improvement_time(from_total(299.0), self.cfg) == self.cfg.infeasible_penalty
-
-    def test_exactly_at_ceiling_returns_penalty(self):
-        assert improvement_time(from_total(300.0), self.cfg) == self.cfg.infeasible_penalty
+        assert SplitVector(*cfg.lower_bounds()).total() == pytest.approx(254.0)
+        assert SplitVector(*cfg.upper_bounds()).total() == pytest.approx(360.0)
 
 
 def leverage_candidate(scale, t1=5.0, t2=5.0):
@@ -266,13 +228,7 @@ class TestPreferenceFitness:
 
 
 class TestFitnessLiteral:
-    def test_feasible_candidate_scores_raw_total(self, high_corr_archive):
-        cfg = ModelConfig()
-        pair = archive_correlation(high_corr_archive)
-        candidate = leverage_candidate(-2.0)
-        assert fitness_literal(candidate, high_corr_archive, cfg, pair) == pytest.approx(
-            candidate.total()
-        )
+    """Hand-placed candidates at the correlation gate of the objective."""
 
     def test_agrees_on_correlation_infeasibility(self, high_corr_archive):
         cfg = ModelConfig()
@@ -286,7 +242,6 @@ class TestFitnessLiteral:
             [r.bike for r in extended.records], [r.run for r in extended.records]
         )
         assert r2 < pair.sum
-        assert fitness_literal(against, high_corr_archive, cfg, pair) == cfg.infeasible_penalty
         assert preference_fitness(against, high_corr_archive, cfg, pair) == cfg.infeasible_penalty
 
     def test_sample_centroid_leaves_correlation_unchanged(self, high_corr_archive):
@@ -304,20 +259,6 @@ class TestFitnessLiteral:
             cfg.infeasible_penalty,
             pytest.approx(300.0 - centroid.total()),
         )
-
-    def test_no_ceiling_gate(self, high_corr_archive):
-        cfg = ModelConfig()
-        pair = archive_correlation(high_corr_archive)
-        over = leverage_candidate(2.0)  # total > 300, still correlation-tightening
-        assert over.total() > 300.0
-        extended = extend_archive(high_corr_archive, over)
-        r2 = oracle_pearson(
-            [r.swim for r in extended.records], [r.bike for r in extended.records]
-        ) + oracle_pearson(
-            [r.bike for r in extended.records], [r.run for r in extended.records]
-        )
-        assert r2 > pair.sum
-        assert fitness_literal(over, high_corr_archive, cfg, pair) == pytest.approx(over.total())
 
 
 class TestPositionFitnessEquivalence:
@@ -361,7 +302,6 @@ def swarm_visited_positions(archive, cfg, seed):
 
     pso_cfg = PsoConfig(
         swarm_size=50,
-        dimension=5,
         lower=cfg.lower_bounds(),
         upper=cfg.upper_bounds(),
         rng_seed=seed,
@@ -411,8 +351,10 @@ class TestPredict:
         result = predict(high_corr_archive, cfg, make_pso(seed=11))
         assert result.total <= 300.0
         assert result.correlation_after > result.correlation_before
-        assert cfg.contains(result.splits)
-        assert result.total == pytest.approx(total_time(result.splits))
+        splits = result.splits.as_array()
+        assert all(splits >= np.array(cfg.lower_bounds()))
+        assert all(splits <= np.array(cfg.upper_bounds()))
+        assert result.total == pytest.approx(result.splits.total())
 
     def test_deterministic(self, high_corr_archive):
         cfg = ModelConfig()

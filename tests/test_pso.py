@@ -16,7 +16,6 @@ def sphere(x):
 def make_config(**overrides):
     kwargs = dict(
         swarm_size=50,
-        dimension=5,
         lower=(-5.0,) * 5,
         upper=(5.0,) * 5,
         c1=2.0,
@@ -30,8 +29,12 @@ def make_config(**overrides):
 
 class TestConfigValidation:
     def test_bounds_length_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="equal length"):
             make_config(lower=(-5.0,) * 4)
+
+    def test_empty_bounds(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            make_config(lower=(), upper=())
 
     def test_lower_not_below_upper(self):
         with pytest.raises(ValueError, match="lower bound"):
@@ -127,7 +130,7 @@ class TestStepParticle:
         assert velocity == (0.125,) * 5
 
     def test_outward_velocity_clamped_and_zeroed(self):
-        cfg = make_config(dimension=1, lower=(-5.0,), upper=(5.0,))
+        cfg = make_config(lower=(-5.0,), upper=(5.0,))
         position, velocity = move_with((5.0,), (1.0,), (5.0,), (5.0,), cfg)
         assert position == (5.0,)
         assert velocity == (0.0,)
@@ -147,7 +150,6 @@ class TestStepParticle:
             lower = tuple(gen.uniform(-10.0, 0.0, dimension))
             upper = tuple(gen.uniform(0.5, 10.0, dimension))
             cfg = make_config(
-                dimension=dimension,
                 lower=lower,
                 upper=upper,
                 c1=float(gen.uniform(0.0, 3.0)),
@@ -201,7 +203,6 @@ class TestMatchesReferenceEngine:
     @pytest.mark.parametrize("seed", range(10))
     def test_seeds(self, seed, dimension):
         cfg = make_config(
-            dimension=dimension,
             lower=(-5.0,) * dimension,
             upper=(5.0,) * dimension,
             max_evaluations=1_000,
