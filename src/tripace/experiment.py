@@ -26,7 +26,7 @@ from .preference import (
     SplitVector,
     predict,
 )
-from .pso import PsoConfig
+from .pso import PsoConfig, integer_setting
 from .stats import archive_correlation
 from .timekit import format_split
 
@@ -71,6 +71,7 @@ class ExperimentConfig:
             raise ValueError("exactly one of archive_path and synth_spec must be set")
         if self.archive_path is not None and self.group is None:
             raise ValueError("group is required when loading an archive file")
+        object.__setattr__(self, "runs", integer_setting("runs", self.runs))
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
         if self.output_format not in OUTPUT_FORMATS:

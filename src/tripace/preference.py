@@ -122,9 +122,10 @@ class ModelConfig:
                 f"target ceiling {ceiling} outside the reachable range "
                 f"[{floor_sum}, {roof_sum}]: the feasible set is empty"
             )
-        if self.infeasible_penalty <= roof_sum:
+        penalty = self.infeasible_penalty
+        if not (isinstance(penalty, Real) and penalty > roof_sum):
             raise ValueError(
-                f"infeasible penalty {self.infeasible_penalty} must exceed the "
+                f"infeasible penalty {penalty!r} must be a number above the "
                 f"largest possible total {roof_sum}"
             )
 

@@ -11,13 +11,23 @@ with u1 and u2 each applied to the whole difference vector.  Scalar draws
 per term (not per component) are deliberate and behavior-affecting; do not
 "fix" this to the per-component variant.  Out-of-bounds components of x' are
 clamped to the violated bound and the corresponding velocity component is
-zeroed.  :func:`move` is that step, one particle at a time.
+zeroed.  :func:`move` is that step for m particles at once.
 
-The swarm state is plain Python floats: per particle a position, a velocity
-and a personal best, each a tuple of D floats.  Vectors of five components
-are too short for numpy to pay for its per-call overhead.  Fitness receives
-the position as a tuple of floats; :class:`PsoResult` returns the best
-position as an ndarray.
+The swarm state is three (NP, D) float64 arrays: positions, velocities and
+personal bests.  numpy does not pay on one five-component vector, but it
+does on a whole generation, so each generation moves all of its particles
+with one :func:`move` call against the current global best.  Fitness is
+still called once per particle, in index order, with the position as a
+tuple of floats.  The global best is asynchronous (Carlisle & Dozier 2001):
+a particle sees bests found earlier in its own generation.  So when a
+particle becomes the new global best, the particles after it are moved
+again with the new best.  A generation therefore costs one vectorised move
+plus one more for each mid-generation change of the global best, and the
+speed rests on such changes being rare.  Every row is computed in the
+scalar association above, so the positions are bit for bit those of a
+particle-by-particle loop.  A particle's personal best changes only at its
+own move, so personal bests are updated once per generation, with one
+masked assignment.
 
 Reproducibility contract: a single seeded generator drives one run.
 Initialization draws all NP * D uniforms in one call, particle by particle
@@ -34,11 +44,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from numbers import Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 Fitness = Callable[[tuple[float, ...]], float]
+
+
+def integer_setting(name: str, value: object) -> int:
+    """``value`` as an int; a bool or a number that is not integral raises."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (OverflowError, ValueError):  # an infinity or a NaN
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +76,12 @@ class PsoConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
+        for name in ("swarm_size", "max_evaluations", "rng_seed"):
+            object.__setattr__(self, name, integer_setting(name, getattr(self, name)))
         if self.swarm_size < 1:
             raise ValueError(f"swarm_size must be positive, got {self.swarm_size}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if not self.lower or len(self.lower) != len(self.upper):
             raise ValueError("bound vectors must be non-empty and of equal length")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
@@ -80,40 +106,37 @@ class PsoResult(NamedTuple):
 
 
 def move(
-    position: Sequence[float],
-    velocity: Sequence[float],
-    personal_best: Sequence[float],
-    global_best: Sequence[float],
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    personal_bests: np.ndarray,
+    global_best: np.ndarray,
     c1: float,
     c2: float,
-    u1: float,
-    u2: float,
-    lower: Sequence[float],
-    upper: Sequence[float],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """One particle move: velocity update, position update, bound repair.
+    u1: np.ndarray,
+    u2: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move m particles: velocity update, position update, bound repair.
 
-    Componentwise ``v' = v + (c1*u1)*(p - x) + (c2*u2)*(g - x)`` and
+    ``positions``, ``velocities`` and ``personal_bests`` are (m, D) arrays,
+    ``global_best``, ``lower`` and ``upper`` D-vectors, and ``u1``, ``u2``
+    length-m vectors holding each particle's two draws.  Row by row and
+    componentwise ``v' = v + (c1*u1)*(p - x) + (c2*u2)*(g - x)`` and
     ``x' = x + v'``; a component of ``x'`` outside its bound is clamped to
     the violated bound and its velocity component set to 0.0.  Returns the
-    new ``(position, velocity)`` as tuples and leaves every input as it was.
+    new ``(positions, velocities)`` as new arrays and leaves every input as
+    it was.
     """
-    a = c1 * u1
-    b = c2 * u2
-    new_position = []
-    new_velocity = []
-    for x, v, p, g, low, high in zip(position, velocity, personal_best, global_best, lower, upper):
-        v = v + a * (p - x) + b * (g - x)
-        x = x + v
-        if x < low:
-            x = low
-            v = 0.0
-        elif x > high:
-            x = high
-            v = 0.0
-        new_position.append(x)
-        new_velocity.append(v)
-    return tuple(new_position), tuple(new_velocity)
+    a = (c1 * u1)[:, None]
+    b = (c2 * u2)[:, None]
+    velocities = velocities + a * (personal_bests - positions) + b * (global_best - positions)
+    positions = positions + velocities
+    below = positions < lower
+    above = positions > upper
+    positions = np.where(below, lower, np.where(above, upper, positions))
+    velocities = np.where(below | above, 0.0, velocities)
+    return positions, velocities
 
 
 def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
@@ -131,58 +154,68 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     budget = config.max_evaluations
     c1 = config.c1
     c2 = config.c2
-    lower = config.lower
-    upper = config.upper
-    dim = len(lower)
+    lower = np.array(config.lower)
+    upper = np.array(config.upper)
     isfinite = math.isfinite
 
-    widths = [high - low for low, high in zip(lower, upper)]
-    draws = rng.random(size * dim).tolist()
-    positions = [
-        tuple(low + u * w for low, u, w in zip(lower, draws[i * dim : (i + 1) * dim], widths))
-        for i in range(size)
-    ]
-    velocities = [(0.0,) * dim] * size
-    personal_values = []
+    positions = lower + rng.random((size, len(lower))) * (upper - lower)
+    velocities = np.zeros_like(positions)
     # particle 0 stands in as the global best while no score is finite
-    best_position = positions[0]
+    best_position = positions[0].copy()
     best_value = math.inf
-    for position in positions:
-        value = float(fitness(position))
+    values = []
+    for i, row in enumerate(positions.tolist()):
+        value = float(fitness(tuple(row)))
         # Non-finite scores count against the budget but never become a best.
         if not isfinite(value):
             value = math.inf
         elif value <= best_value:
-            best_position = position
+            best_position = positions[i].copy()
             best_value = value
-        personal_values.append(value)
-    personal_bests = list(positions)
+        values.append(value)
+    personal_values = np.array(values)
+    personal_bests = positions.copy()
     used = size
     history = [best_value]
 
     while used < budget:
         moves = min(size, budget - used)
-        u = rng.random(2 * size).tolist()
+        u = rng.random(2 * size)
+        u1 = u[0 : 2 * moves : 2]
+        u2 = u[1 : 2 * moves : 2]
+        # Only the last generation can be short, so its state may shrink.
+        positions = positions[:moves]
+        velocities = velocities[:moves]
+        bests = personal_bests[:moves]
+        new_positions, new_velocities = move(
+            positions, velocities, bests, best_position, c1, c2, u1, u2, lower, upper
+        )
+        rows = new_positions.tolist()
+        values = []
         for i in range(moves):
-            position, velocity = move(
-                positions[i], velocities[i], personal_bests[i], best_position,
-                c1, c2, u[2 * i], u[2 * i + 1], lower, upper,
-            )
-            positions[i] = position
-            velocities[i] = velocity
-            value = float(fitness(position))
-            if isfinite(value):
-                if value <= personal_values[i]:
-                    personal_bests[i] = position
-                    personal_values[i] = value
-                if value <= best_value:
-                    best_position = position
-                    best_value = value
+            value = float(fitness(tuple(rows[i])))
+            values.append(value)
+            if value <= best_value and isfinite(value):
+                best_position = new_positions[i].copy()
+                best_value = value
+                if i + 1 < moves:
+                    # the particles after i have to see the new global best
+                    rest = slice(i + 1, moves)
+                    new_positions[rest], new_velocities[rest] = move(
+                        positions[rest], velocities[rest], bests[rest], best_position,
+                        c1, c2, u1[rest], u2[rest], lower, upper,
+                    )
+                    rows[rest] = new_positions[rest].tolist()
+        positions, velocities = new_positions, new_velocities
+        values = np.array(values)
+        improved = np.isfinite(values) & (values <= personal_values[:moves])
+        bests[improved] = positions[improved]  # bests is a view of personal_bests
+        personal_values[:moves][improved] = values[improved]
         used += moves
         history.append(best_value)
 
     return PsoResult(
-        best_position=np.array(best_position),
+        best_position=best_position,
         best_value=best_value,
         evaluations_used=used,
         history=history,

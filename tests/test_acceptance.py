@@ -93,14 +93,17 @@ def test_criterion_2_step_oracle_equivalence():
             seed = int(gen.integers(1 << 31))
             draw = np.random.default_rng(seed)
             u1, u2 = draw.random(), draw.random()
-            position, velocity = move(
-                x, v, pb, gb, cfg.c1, cfg.c2, u1, u2, cfg.lower, cfg.upper
+            # one particle as a one-row batch
+            positions, velocities = move(
+                np.array([x]), np.array([v]), np.array([pb]), np.array(gb),
+                cfg.c1, cfg.c2, np.array([u1]), np.array([u2]),
+                np.array(cfg.lower), np.array(cfg.upper),
             )
             ox, ov = oracle_step(x, v, pb, gb, cfg.c1, cfg.c2, u1, u2, lower, upper)
             worst = max(
                 worst,
-                float(np.max(np.abs(np.array(position) - np.array(ox)))),
-                float(np.max(np.abs(np.array(velocity) - np.array(ov)))),
+                float(np.max(np.abs(positions[0] - np.array(ox)))),
+                float(np.max(np.abs(velocities[0] - np.array(ov)))),
             )
             cases += 1
 

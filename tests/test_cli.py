@@ -77,6 +77,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="runs"):
             ExperimentConfig(synth_spec=HIGH_SPEC, runs=0)
 
+    @pytest.mark.parametrize("runs", [True, 2.5, float("nan"), "2"])
+    def test_runs_must_be_an_integer(self, runs):
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            ExperimentConfig(synth_spec=HIGH_SPEC, runs=runs)
+
 
 class TestEmitReport:
     def make_report(self, outcomes, mean_row=None, stdev_row=None):
@@ -288,6 +293,13 @@ class TestPredictCommand:
         code = main(self.predict_args(["--kmax", "200"]))
         assert code == 2
         assert "feasible set is empty" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code = main(self.predict_args(["--seed", "-3"]))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rng_seed must be non-negative, got -2\n"
 
     @pytest.mark.parametrize("option", ["--c1", "--c2"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -67,6 +67,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="penalty"):
             ModelConfig(infeasible_penalty=350.0)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), "1e6", None, True])
+    def test_penalty_must_be_a_number(self, penalty):
+        with pytest.raises(ValueError, match="penalty .* must be a number above"):
+            ModelConfig(infeasible_penalty=penalty)
+
     def test_bounds_key_set_enforced(self):
         with pytest.raises(ValueError, match="bounds"):
             ModelConfig(bounds={"swim": (25.0, 50.0)})

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_step, reference_run
 from tripace.pso import PsoConfig, move, run
@@ -53,6 +56,21 @@ class TestConfigValidation:
     def test_non_finite_learning_factor(self, factor, value):
         with pytest.raises(ValueError, match="learning factors must be finite"):
             make_config(**{factor: value})
+
+    @pytest.mark.parametrize("field", ["swarm_size", "max_evaluations", "rng_seed"])
+    @pytest.mark.parametrize("value", [True, False, 10.5, 100.5, float("nan"), float("inf"), "50"])
+    def test_integer_settings_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_config(**{field: value})
+
+    def test_integral_settings_accepted(self):
+        cfg = make_config(swarm_size=50.0, max_evaluations=np.int64(100), rng_seed=3.0)
+        assert (cfg.swarm_size, cfg.max_evaluations, cfg.rng_seed) == (50, 100, 3)
+        assert all(type(v) is int for v in (cfg.swarm_size, cfg.max_evaluations, cfg.rng_seed))
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="rng_seed must be non-negative, got -3"):
+            make_config(rng_seed=-3)
 
 
 def record_run(cfg, fitness=None):
@@ -111,11 +129,19 @@ class TestInitSwarm:
 
 
 def move_with(x, v, pbest, gbest, cfg, u1=0.3, u2=0.7):
-    return move(x, v, pbest, gbest, cfg.c1, cfg.c2, u1, u2, cfg.lower, cfg.upper)
+    """``move`` on one particle, given as a one-row batch; returns row tuples."""
+    positions, velocities = move(
+        np.array([x], dtype=float),
+        np.array([v], dtype=float),
+        np.array([pbest], dtype=float),
+        np.array(gbest, dtype=float),
+        cfg.c1, cfg.c2, np.array([u1]), np.array([u2]), np.array(cfg.lower), np.array(cfg.upper),
+    )
+    return tuple(positions[0].tolist()), tuple(velocities[0].tolist())
 
 
 class TestStepParticle:
-    """``move``: one particle's velocity update, position update and repair."""
+    """``move`` row by row: velocity update, position update and repair."""
 
     def test_zero_learning_factors_keep_velocity(self):
         cfg = make_config(c1=0.0, c2=0.0)
@@ -136,12 +162,16 @@ class TestStepParticle:
         assert velocity == (0.0,)
 
     def test_personal_best_untouched(self):
-        cfg = make_config()
-        x, v, pbest, gbest = [0.0] * 5, [0.0] * 5, [2.0] * 5, [-2.0] * 5
-        position, velocity = move_with(x, v, pbest, gbest, cfg)
-        assert pbest == [2.0] * 5
-        assert (x, v, gbest) == ([0.0] * 5, [0.0] * 5, [-2.0] * 5)
-        assert position != tuple(x)
+        x, v = np.zeros((1, 5)), np.zeros((1, 5))
+        pbest, gbest = np.full((1, 5), 2.0), np.full(5, -2.0)
+        u1, u2 = np.array([0.3]), np.array([0.7])
+        lower, upper = np.full(5, -5.0), np.full(5, 5.0)
+        position, _ = move(x, v, pbest, gbest, 2.0, 2.0, u1, u2, lower, upper)
+        assert np.array_equal(pbest, np.full((1, 5), 2.0))
+        assert np.array_equal(x, np.zeros((1, 5))) and np.array_equal(v, np.zeros((1, 5)))
+        assert np.array_equal(gbest, np.full(5, -2.0))
+        assert np.array_equal(u1, [0.3]) and np.array_equal(u2, [0.7])
+        assert not np.array_equal(position, x)
 
     @pytest.mark.parametrize("dimension", [1, 5])
     def test_matches_oracle_transcription(self, dimension):
@@ -169,9 +199,49 @@ class TestStepParticle:
             assert position == pytest.approx(ox, abs=1e-12)
             assert velocity == pytest.approx(ov, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batch_equals_rows(self, seed):
+        """One m-row call gives bit for bit the rows of m one-row calls and
+        changes none of its inputs."""
+        gen = np.random.default_rng(seed)
+        m, d = int(gen.integers(1, 61)), int(gen.integers(1, 7))
+        lower = gen.uniform(-10.0, 0.0, d)
+        upper = gen.uniform(0.5, 10.0, d)
+        c1, c2 = gen.uniform(0.0, 3.0, 2)
+        # velocities wide enough that some components leave the box
+        inputs = (
+            gen.uniform(lower, upper, (m, d)),
+            gen.uniform(-8.0, 8.0, (m, d)),
+            gen.uniform(lower, upper, (m, d)),
+            gen.uniform(lower, upper),
+            c1,
+            c2,
+            gen.random(m),
+            gen.random(m),
+            lower,
+            upper,
+        )
+        saved = [np.copy(value) for value in inputs]
+        positions, velocities = move(*inputs)
+        x, v, p, g, _, _, u1, u2, _, _ = inputs
+        for i in range(m):
+            one = slice(i, i + 1)
+            row_position, row_velocity = move(
+                x[one], v[one], p[one], g, c1, c2, u1[one], u2[one], lower, upper
+            )
+            assert np.array_equal(positions[i], row_position[0])
+            assert np.array_equal(velocities[i], row_velocity[0])
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, saved))
+        assert ((positions == lower) | (positions == upper)).any()
 
-def run_both(cfg, fitness):
-    """``run`` and ``reference_run`` on one config, with their fitness inputs."""
+
+def run_both(cfg, fitness, reference_fitness=None):
+    """``run`` and ``reference_run`` on one config, with their fitness inputs.
+
+    A stateful objective needs one instance per engine: ``reference_fitness``
+    is then the second one.
+    """
+    reference_fitness = fitness if reference_fitness is None else reference_fitness
     seen, seen_reference = [], []
 
     def recording(position):
@@ -180,7 +250,7 @@ def run_both(cfg, fitness):
 
     def recording_reference(position):
         seen_reference.append(tuple(position.tolist()))
-        return fitness(position)
+        return reference_fitness(position)
 
     return run(cfg, recording), seen, reference_run(cfg, recording_reference), seen_reference
 
@@ -189,8 +259,8 @@ class TestMatchesReferenceEngine:
     """``run`` reproduces the frozen numpy engine bit for bit: same result,
     same history and the same positions passed to fitness in the same order."""
 
-    def assert_identical(self, cfg, fitness=sphere):
-        result, seen, reference, seen_reference = run_both(cfg, fitness)
+    def assert_identical(self, cfg, fitness=sphere, reference_fitness=None):
+        result, seen, reference, seen_reference = run_both(cfg, fitness, reference_fitness)
         assert seen == seen_reference
         assert len(seen) == reference.evaluations_used
         assert result.best_position.dtype == reference.best_position.dtype
@@ -234,6 +304,69 @@ class TestMatchesReferenceEngine:
 
     def test_inf_everywhere(self):
         self.assert_identical(make_config(max_evaluations=200), lambda x: math.inf)
+
+    # The cases below drive the re-move of the particles after a
+    # mid-generation change of the global best; each objective counts its
+    # calls, so each engine gets its own instance.
+
+    @pytest.mark.parametrize("budget", [1_000, 175])
+    def test_every_evaluation_improves(self, budget):
+        def countdown():
+            calls = itertools.count()
+            return lambda x: -float(next(calls))
+
+        cfg = make_config(max_evaluations=budget, rng_seed=5)
+        self.assert_identical(cfg, countdown(), countdown())
+
+    def test_new_best_at_last_particle(self):
+        def last_particle_improves():
+            calls = itertools.count()
+
+            def fitness(x):
+                call = next(calls)
+                return -float(call) if call % 50 == 49 else sphere(x) + 1e6
+
+            return fitness
+
+        cfg = make_config(max_evaluations=1_000, rng_seed=6)
+        self.assert_identical(cfg, last_particle_improves(), last_particle_improves())
+
+    @pytest.mark.parametrize("budget", [175, 1_037])
+    def test_budget_ends_right_after_new_best(self, budget):
+        def last_evaluation_improves():
+            calls = itertools.count(1)
+            return lambda x: -1.0 if next(calls) == budget else sphere(x)
+
+        cfg = make_config(max_evaluations=budget, rng_seed=7)
+        self.assert_identical(cfg, last_evaluation_improves(), last_evaluation_improves())
+        result = run(cfg, last_evaluation_improves())
+        assert result.best_value == -1.0 and result.history[-1] == -1.0
+
+    @given(
+        size=st.integers(1, 60),
+        dimension=st.integers(1, 6),
+        c1=st.floats(0.0, 3.0),
+        c2=st.floats(0.0, 3.0),
+        generations=st.integers(1, 20),
+        extra=st.integers(0, 59),
+        seed=st.integers(0, 2**63),
+        objective=st.sampled_from([sphere, sum]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, size, dimension, c1, c2, generations, extra, seed, objective):
+        """NP 1-60, D 1-6, c1 and c2 in [0, 3], a budget of NP to 20 NP and
+        any seed; the linear objective keeps moving the global best."""
+        budget = min(size * generations + extra, 20 * size)
+        cfg = make_config(
+            swarm_size=size,
+            lower=(-5.0,) * dimension,
+            upper=(5.0,) * dimension,
+            c1=c1,
+            c2=c2,
+            max_evaluations=budget,
+            rng_seed=seed,
+        )
+        self.assert_identical(cfg, objective)
 
 
 class TestRun:
