@@ -155,7 +155,6 @@ def _rows_from_json(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
         if not isinstance(entry, dict):
             raise ArchiveError(f"{path}: entry {i} is not a result object: {entry!r}")
         _check_columns(entry.keys(), path)
-    for i, entry in enumerate(payload, start=1):
         yield i, {k: str(v) for k, v in entry.items()}
 
 
@@ -242,12 +241,11 @@ def extend_archive(base: Archive, prediction: SplitVector) -> Archive:
     The appended row carries placeholder identity fields; only its split
     columns matter downstream.  ``base`` is never mutated.
     """
-    last_place = base.records[-1].finish_place
     appended = ResultRecord(
         athlete_name="PREDICTION",
         nation="-",
         category=base.group,
-        finish_place=max(len(base) + 1, last_place + 1),
+        finish_place=base.records[-1].finish_place + 1,
         swim=prediction.swim,
         t1=prediction.t1,
         bike=prediction.bike,
@@ -314,20 +312,11 @@ def synthesize_archive(
         ):
             totals = swim + t1 + bike + t2 + run
             order = np.argsort(totals, kind="stable")
+            # rows of (swim, t1, bike, t2, run, overall) as Python floats
+            rows = np.column_stack((swim, t1, bike, t2, run, totals))[order].tolist()
             records = tuple(
-                ResultRecord(
-                    athlete_name=f"SYN-{place:03d}",
-                    nation="SYN",
-                    category=group,
-                    finish_place=place,
-                    swim=float(swim[j]),
-                    t1=float(t1[j]),
-                    bike=float(bike[j]),
-                    t2=float(t2[j]),
-                    run=float(run[j]),
-                    overall=float(swim[j] + t1[j] + bike[j] + t2[j] + run[j]),
-                )
-                for place, j in enumerate(order, start=1)
+                ResultRecord(f"SYN-{place:03d}", "SYN", group, place, *row)
+                for place, row in enumerate(rows, start=1)
             )
             return Archive(label=label, group=group, records=records)
     raise SynthesisError(

@@ -164,14 +164,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         c1=args.c1,
         c2=args.c2,
         model=_model_from_args(args),
-        output_format=args.output,
     )
     try:
         report = run_experiment(cfg)
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    rendered = emit_report(report, cfg.output_format)
+    rendered = emit_report(report, args.output)
     if args.out is None:
         sys.stdout.write(rendered)
     else:

@@ -64,18 +64,34 @@ class ExperimentConfig:
     c1: float = 2.0
     c2: float = 2.0
     model: ModelConfig = field(default_factory=ModelConfig)
-    output_format: str = "text"
 
     def __post_init__(self) -> None:
         if (self.archive_path is None) == (self.synth_spec is None):
             raise ValueError("exactly one of archive_path and synth_spec must be set")
         if self.archive_path is not None and self.group is None:
             raise ValueError("group is required when loading an archive file")
-        object.__setattr__(self, "runs", integer_setting("runs", self.runs))
+        for name in ("runs", "base_seed"):
+            object.__setattr__(self, name, integer_setting(name, getattr(self, name)))
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        if self.base_seed < -1:
+            raise ValueError(
+                "base_seed must be at least -1, as run i uses seed base_seed + i, "
+                f"got {self.base_seed}"
+            )
+        self.pso_config(1)  # the swarm settings fail here, before any work
+
+    def pso_config(self, index: int) -> PsoConfig:
+        """Swarm settings of run ``index`` (1-based), seeded ``base_seed + index``."""
+        return PsoConfig(
+            swarm_size=self.swarm_size,
+            lower=self.model.lower_bounds(),
+            upper=self.model.upper_bounds(),
+            c1=self.c1,
+            c2=self.c2,
+            max_evaluations=self.max_evaluations,
+            rng_seed=self.base_seed + index,
+        )
 
 
 @dataclass(frozen=True)
@@ -104,10 +120,6 @@ class ExperimentReport:
     per_run: tuple[RunOutcome, ...]
     mean_row: tuple[float, ...] | None
     stdev_row: tuple[float, ...] | None
-
-    @property
-    def feasible_runs(self) -> tuple[RunOutcome, ...]:
-        return tuple(r for r in self.per_run if r.feasible)
 
 
 def synthesize_from_spec(spec: dict) -> Archive:
@@ -172,16 +184,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     outcomes: list[RunOutcome] = []
     for index in range(1, cfg.runs + 1):
-        seed = cfg.base_seed + index
-        pso_cfg = PsoConfig(
-            swarm_size=cfg.swarm_size,
-            lower=cfg.model.lower_bounds(),
-            upper=cfg.model.upper_bounds(),
-            c1=cfg.c1,
-            c2=cfg.c2,
-            max_evaluations=cfg.max_evaluations,
-            rng_seed=seed,
-        )
+        pso_cfg = cfg.pso_config(index)
+        seed = pso_cfg.rng_seed
         try:
             result: PredictionResult = predict(archive, cfg.model, pso_cfg)
         except NoFeasibleSolutionError as exc:
@@ -243,20 +247,20 @@ def _row_cells(outcome: RunOutcome) -> list[str]:
     return [format_split(v) for v in values]
 
 
-def emit_report(report: ExperimentReport, output_format: str) -> str:
+def emit_report(report: ExperimentReport, format: str) -> str:
     """Render a report as a text table, CSV, or JSON document.
 
     The text table carries the familiar race-report columns plus Mean and
     Stdev rows; CSV and JSON additionally carry the full-precision minute
     values and the before/after correlation sums of each run.
     """
-    if output_format == "text":
+    if format == "text":
         return _emit_text(report)
-    if output_format == "csv":
+    if format == "csv":
         return _emit_csv(report)
-    if output_format == "json":
+    if format == "json":
         return _emit_json(report)
-    raise ValueError(f"unknown output format {output_format!r}")
+    raise ValueError(f"unknown output format {format!r}")
 
 
 def _emit_text(report: ExperimentReport) -> str:

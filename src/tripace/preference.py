@@ -24,6 +24,7 @@ the numbers the reports print.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Callable
@@ -71,12 +72,6 @@ class SplitVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.swim, self.t1, self.bike, self.t2, self.run])
 
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> SplitVector:
-        if len(values) != 5:
-            raise ValueError(f"expected 5 components, got {len(values)}")
-        return cls(*(float(v) for v in values))
-
 
 def _finite_pair(name: str, pair: object) -> tuple[float, float]:
     """A bound as a tuple or list of two finite numbers; anything else raises."""
@@ -94,7 +89,7 @@ def _finite_pair(name: str, pair: object) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Feasible box, target ceiling, and the infeasibility penalty.
+    """Feasible box and target ceiling.
 
     The target ceiling must be reachable inside the box (between the sums of
     the lower and upper bounds), otherwise no plan can ever be feasible and
@@ -105,7 +100,6 @@ class ModelConfig:
         default_factory=lambda: dict(DEFAULT_BOUNDS)
     )
     target_ceiling: float = 300.0
-    infeasible_penalty: float = 1e6
 
     def __post_init__(self) -> None:
         if not isinstance(self.bounds, dict) or set(self.bounds) != set(DISCIPLINES):
@@ -116,18 +110,24 @@ class ModelConfig:
                 raise ValueError(f"bad bound for {name!r}: [{low}, {high}]")
         ceiling = self.target_ceiling
         floor_sum = sum(self.bounds[n][0] for n in DISCIPLINES)
-        roof_sum = sum(self.bounds[n][1] for n in DISCIPLINES)
+        # ceilings above half the largest float count as out of reach, which
+        # keeps the infeasibility penalty (twice the ceiling) finite
+        roof_sum = min(sum(self.bounds[n][1] for n in DISCIPLINES), sys.float_info.max / 2)
         if not (isinstance(ceiling, Real) and floor_sum <= ceiling <= roof_sum):
             raise ValueError(
                 f"target ceiling {ceiling} outside the reachable range "
                 f"[{floor_sum}, {roof_sum}]: the feasible set is empty"
             )
-        penalty = self.infeasible_penalty
-        if not (isinstance(penalty, Real) and penalty > roof_sum):
-            raise ValueError(
-                f"infeasible penalty {penalty!r} must be a number above the "
-                f"largest possible total {roof_sum}"
-            )
+
+    @property
+    def infeasible_penalty(self) -> float:
+        """The flat score of every infeasible plan: twice the ceiling.
+
+        A feasible plan scores ``ceiling - total`` with a positive total, so
+        at most the ceiling, and this finite value lies above all of them.
+        The swarm only compares scores, so any such value gives the same run.
+        """
+        return 2.0 * self.target_ceiling
 
     def lower_bounds(self) -> tuple[float, ...]:
         return tuple(self.bounds[n][0] for n in DISCIPLINES)
@@ -224,7 +224,7 @@ def predict(base: Archive, cfg: ModelConfig, pso_cfg: PsoConfig) -> PredictionRe
             f"(ceiling {cfg.target_ceiling}, archive correlation "
             f"sum {base_pair.sum:.4f})"
         )
-    splits = SplitVector.from_array(result.best_position)
+    splits = SplitVector(*result.best_position)
     after = archive_correlation(extend_archive(base, splits))
     return PredictionResult(
         splits=splits,

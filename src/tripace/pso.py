@@ -91,15 +91,18 @@ class PsoConfig:
                 f"learning factors must be finite, got c1={self.c1!r}, c2={self.c2!r}"
             )
         if self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError("learning factors must be non-negative")
+            raise ValueError(
+                f"learning factors must be non-negative, got c1={self.c1!r}, c2={self.c2!r}"
+            )
         if self.max_evaluations < self.swarm_size:
             raise ValueError(
-                "max_evaluations must cover at least one evaluation per particle"
+                "max_evaluations must cover at least one evaluation per particle, "
+                f"got {self.max_evaluations} for swarm_size {self.swarm_size}"
             )
 
 
 class PsoResult(NamedTuple):
-    best_position: np.ndarray
+    best_position: tuple[float, ...]
     best_value: float
     evaluations_used: int
     history: list[float]
@@ -146,8 +149,9 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     velocities at zero; every later generation moves, evaluates and ranks
     each particle in index order, so particles later in the scan already
     see bests found earlier in the same generation.  Stops as soon as the
-    budget is exhausted, mid generation if need be.  The history holds the
-    global best after each generation and never increases.
+    budget is exhausted, mid generation if need be.  The best position is
+    the tuple of floats that fitness scored.  The history holds the global
+    best after each generation and never increases.
     """
     rng = np.random.default_rng(config.rng_seed)
     size = config.swarm_size
@@ -215,7 +219,7 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
         history.append(best_value)
 
     return PsoResult(
-        best_position=best_position,
+        best_position=tuple(best_position.tolist()),
         best_value=best_value,
         evaluations_used=used,
         history=history,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -307,6 +308,17 @@ class TestSynthesize:
         totals = [r.overall for r in archive.records]
         assert totals == sorted(totals)
         assert [r.finish_place for r in archive.records] == list(range(1, 13))
+
+    def test_thousand_rows_pinned(self):
+        archive = synthesize_archive(1, 1_000, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS)
+        for record in archive.records:
+            assert all(
+                type(getattr(record, name)) is float
+                for name in ("swim", "t1", "bike", "t2", "run", "overall")
+            )
+        text = "\n".join(repr(record) for record in archive.records)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "a3d232ed8c914d0ad19c604b12387d64a6ec8307b32e744adf271de7d400ddfe"
 
     def test_size_too_small(self):
         with pytest.raises(ArchiveError, match="at least 5"):

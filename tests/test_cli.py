@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,8 @@ HIGH_SPEC = {
 
 COLLINEAR_SPEC = dict(HIGH_SPEC, r_swim_bike=1.0, r_bike_run=1.0)
 
+NEGATIVE_SEED_MESSAGE = "base_seed must be at least -1, as run i uses seed base_seed + i, got -3"
+
 
 def high_spec_json() -> str:
     return json.dumps(HIGH_SPEC)
@@ -56,7 +60,7 @@ class TestRunExperiment:
 
     def test_mean_total_consistency(self):
         report = run_experiment(self.make_config(runs=3))
-        totals = [o.total for o in report.feasible_runs]
+        totals = [o.total for o in report.per_run if o.feasible]
         assert report.mean_row[5] == pytest.approx(sum(totals) / len(totals), abs=1e-9)
         assert report.mean_row[5] == pytest.approx(sum(report.mean_row[:5]), abs=1e-9)
 
@@ -81,6 +85,30 @@ class TestRunExperiment:
     def test_runs_must_be_an_integer(self, runs):
         with pytest.raises(ValueError, match="runs must be an integer"):
             ExperimentConfig(synth_spec=HIGH_SPEC, runs=runs)
+
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("swarm_size", 0, "swarm_size must be positive, got 0"),
+            ("swarm_size", 10.5, "swarm_size must be an integer, got 10.5"),
+            (
+                "max_evaluations", 10,
+                "max_evaluations must cover at least one evaluation per particle, "
+                "got 10 for swarm_size 50",
+            ),
+            ("base_seed", -3, NEGATIVE_SEED_MESSAGE),
+            ("base_seed", True, "base_seed must be an integer, got True"),
+            ("c1", -1.0, "learning factors must be non-negative, got c1=-1.0, c2=2.0"),
+            ("c2", float("nan"), "learning factors must be finite, got c1=2.0, c2=nan"),
+        ],
+    )
+    def test_swarm_settings_checked_at_construction(self, setting, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(synth_spec=HIGH_SPEC, **{setting: value})
+
+    def test_base_seed_minus_one_gives_run_seed_zero(self):
+        report = run_experiment(self.make_config(runs=1, base_seed=-1))
+        assert [o.seed for o in report.per_run] == [0]
 
 
 class TestEmitReport:
@@ -120,6 +148,25 @@ class TestEmitReport:
         text = emit_report(self.make_report([outcome]), "text")
         assert "1 | infeasible" in text
         assert "no feasible plan" in text
+
+    def test_infeasible_row_pinned_in_csv_and_json(self):
+        outcome = RunOutcome(
+            index=1, seed=2, splits=None, total=None,
+            correlation_before=0.7, correlation_after=None, error="no feasible plan",
+        )
+        report = self.make_report([outcome])
+        assert emit_report(report, "csv") == (
+            "row,swim_min,t1_min,bike_min,t2_min,run_min,total_min,"
+            "swim,t1,bike,t2,run,total,r_before,r_after,status\n"
+            "1,,,,,,,,,,,,,0.7,,infeasible\n"
+        )
+        assert emit_report(report, "json") == (
+            '{\n  "archive": {\n    "label": "demo",\n    "group": "M25-29",\n'
+            '    "size": 30,\n    "correlation_sum": 0.701\n  },\n'
+            '  "runs": [\n    {\n      "run": 1,\n      "seed": 2,\n'
+            '      "error": "no feasible plan"\n    }\n  ],\n'
+            '  "mean": null,\n  "stdev": null\n}\n'
+        )
 
     def test_json_round_trip(self):
         splits = SplitVector(33.0, 3.0, 165.0, 3.5, 93.0)
@@ -299,7 +346,48 @@ class TestPredictCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: rng_seed must be non-negative, got -2\n"
+        assert captured.err == "error: " + NEGATIVE_SEED_MESSAGE + "\n"
+
+    def test_negative_seed_named_on_a_readable_archive(self, table1_csv, capsys):
+        argv = ["predict", "--archive", table1_csv, "--group", "PRO-M", "--top-n", "5"]
+        assert main(argv + ["--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + NEGATIVE_SEED_MESSAGE + "\n"
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--np", "0", "swarm_size must be positive, got 0"),
+            ("--seed", "-3", NEGATIVE_SEED_MESSAGE),
+            (
+                "--max-fes", "10",
+                "max_evaluations must cover at least one evaluation per particle, "
+                "got 10 for swarm_size 50",
+            ),
+        ],
+    )
+    def test_swarm_setting_rejected_before_the_archive_is_read(self, capsys, option, value, message):
+        code = main(["predict", "--archive", "/nonexistent.csv", "--group", "X", option, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_swarm_setting_rejected_before_synthesis(self, capsys, monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("the archive was synthesized before the settings were checked")
+
+        monkeypatch.setattr("tripace.experiment.synthesize_archive", no_synthesis)
+        assert main(self.predict_args(["--np", "0"])) == 2
+        assert capsys.readouterr().err == "error: swarm_size must be positive, got 0\n"
+
+    def test_wide_bounds_exit_0(self, capsys):
+        # a box wider than the former fixed penalty of 1e6 minutes
+        code = main(["predict", "--synth-spec", high_spec_json(), "--bounds", '{"bike": [140, 1000000]}'])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "Run | Swimming | T1 | Cycling | T2 | Running | Total" in captured.out
+        assert "Mean | " in captured.out
 
     @pytest.mark.parametrize("option", ["--c1", "--c2"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -361,6 +449,13 @@ class TestSynthCommand:
         main(["synth", "--synth-spec", high_spec_json(), "--out", str(a)])
         main(["synth", "--synth-spec", high_spec_json(), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_thousand_row_archive_bytes(self, tmp_path):
+        out = tmp_path / "field.csv"
+        spec = json.dumps(dict(HIGH_SPEC, size=1_000))
+        assert main(["synth", "--synth-spec", spec, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "984e6975d693d778ed41893fa7b57d6336148debbebbcadc78b6dc7f4a06b756"
 
     def test_spec_from_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -13,6 +13,7 @@ To regenerate the files after an intended behaviour change::
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -23,6 +24,7 @@ import pytest
 from tripace.cli import main
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
+BENCHMARK_HASHES = Path(__file__).parents[1] / "perfbench" / "golden.json"
 
 REFERENCE_SPEC = {
     "seed": 1,
@@ -60,6 +62,13 @@ def golden_path(output: str) -> Path:
 def test_report_matches_golden_file(output):
     expected = golden_path(output).read_bytes()
     assert render(output).encode("utf-8") == expected
+
+
+def test_benchmark_hash_matches_golden_file():
+    # the benchmark checks the same JSON report by hash; both sources agree
+    hashes = json.loads(BENCHMARK_HASHES.read_text(encoding="utf-8"))
+    digest = hashlib.sha256(golden_path("json").read_bytes()).hexdigest()
+    assert digest == hashes["predict_ref"]["10"]
 
 
 if __name__ == "__main__":

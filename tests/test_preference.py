@@ -1,13 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SYNTH_MEANS, SYNTH_SPREADS
 from helpers import oracle_pearson, preference_fitness
 from tripace.archive import Archive, extend_archive, synthesize_archive
 from tripace.preference import (
     DEFAULT_BOUNDS,
+    DISCIPLINES,
     ModelConfig,
     NoFeasibleSolutionError,
     SplitVector,
@@ -42,11 +46,7 @@ class TestSplitVector:
 
     def test_array_round_trip(self):
         x = SplitVector(30.0, 3.0, 160.0, 3.0, 95.0)
-        assert SplitVector.from_array(x.as_array()) == x
-
-    def test_from_array_length(self):
-        with pytest.raises(ValueError):
-            SplitVector.from_array(np.zeros(4))
+        assert SplitVector(*x.as_array()) == x
 
 
 class TestModelConfig:
@@ -60,17 +60,30 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="feasible set is empty"):
             ModelConfig(target_ceiling=200.0)
 
+    def test_ceiling_too_large_for_a_finite_penalty(self):
+        huge = dict(DEFAULT_BOUNDS, bike=(140.0, 1e308), run=(85.0, 1e308))
+        with pytest.raises(ValueError, match="feasible set is empty"):
+            ModelConfig(bounds=huge, target_ceiling=1e308)
+        assert math.isfinite(ModelConfig(bounds=huge, target_ceiling=1e307).infeasible_penalty)
+
     def test_ceiling_at_floor_is_allowed(self):
         assert ModelConfig(target_ceiling=254.0).target_ceiling == 254.0
 
-    def test_penalty_must_exceed_roof(self):
-        with pytest.raises(ValueError, match="penalty"):
-            ModelConfig(infeasible_penalty=350.0)
-
-    @pytest.mark.parametrize("penalty", [float("nan"), "1e6", None, True])
-    def test_penalty_must_be_a_number(self, penalty):
-        with pytest.raises(ValueError, match="penalty .* must be a number above"):
-            ModelConfig(infeasible_penalty=penalty)
+    @given(
+        lows=st.lists(st.floats(0.5, 200.0), min_size=5, max_size=5),
+        widths=st.lists(st.floats(1e-9, 1e6), min_size=5, max_size=5),
+        share=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_penalty_above_every_feasible_score(self, lows, widths, share):
+        bounds = {name: (low, low + width) for name, low, width in zip(DISCIPLINES, lows, widths)}
+        floor_sum = sum(low for low, _ in bounds.values())
+        roof_sum = sum(high for _, high in bounds.values())
+        ceiling = min(roof_sum, floor_sum + share * (roof_sum - floor_sum))
+        cfg = ModelConfig(bounds=bounds, target_ceiling=ceiling)
+        # the best feasible score is that of the plan at the lower bounds
+        assert math.isfinite(cfg.infeasible_penalty)
+        assert cfg.infeasible_penalty > ceiling - floor_sum
 
     def test_bounds_key_set_enforced(self):
         with pytest.raises(ValueError, match="bounds"):
@@ -277,7 +290,7 @@ class TestPositionFitnessEquivalence:
         for _ in range(300):
             position = lower + rng.random(5) * (upper - lower)
             composed = preference_fitness(
-                SplitVector.from_array(position), high_corr_archive, cfg, pair
+                SplitVector(*position), high_corr_archive, cfg, pair
             )
             assert fast(tuple(position.tolist())) == composed
 
@@ -340,7 +353,7 @@ class TestPositionFitnessOnSwarmPaths:
             assert len(visited) == 10_000
             feasible = correlation_rejects = 0
             for position in visited:
-                composed = preference_fitness(SplitVector.from_array(position), archive, cfg, pair)
+                composed = preference_fitness(SplitVector(*position), archive, cfg, pair)
                 assert fast(tuple(position.tolist())) == composed, (seed, position.tolist())
                 if composed < cfg.infeasible_penalty:
                     feasible += 1

@@ -263,8 +263,8 @@ class TestMatchesReferenceEngine:
         result, seen, reference, seen_reference = run_both(cfg, fitness, reference_fitness)
         assert seen == seen_reference
         assert len(seen) == reference.evaluations_used
-        assert result.best_position.dtype == reference.best_position.dtype
-        assert np.array_equal(result.best_position, reference.best_position)
+        assert result.best_position == tuple(reference.best_position.tolist())
+        assert all(type(v) is float for v in result.best_position)
         assert result.best_value == reference.best_value
         assert result.evaluations_used == reference.evaluations_used
         assert result.history == reference.history
