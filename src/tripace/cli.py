@@ -84,7 +84,9 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--group", help="category to select from the archive file")
     parser.add_argument(
-        "--top-n", type=int, default=30, help="archive size after selection (default 30)"
+        "--top-n", type=int, default=30,
+        help="how many of the group's best finishers to select from --archive "
+        "(default 30, at least 3); a synthesis spec sets its own size",
     )
 
 

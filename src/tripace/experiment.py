@@ -1,14 +1,19 @@
 """Multi-run prediction experiments and report rendering.
 
 An experiment resolves one archive (from a result file or the synthetic
-generator), runs a configured number of independent predictions with
-per-run seeds ``base_seed + run_index``, and aggregates the feasible runs
-into mean and sample-standard-deviation rows.  Rendering is deterministic:
-the same config always yields byte-identical output.
+generator) and runs a configured number of independent predictions with
+per-run seeds ``base_seed + run_index``.  Each run's outcome holds its
+prediction as it came back, or the reason it has none.  A report row is
+the five splits and their total in minutes (:attr:`RunOutcome.minutes`),
+the feasible runs are aggregated column by column into mean and
+sample-standard-deviation rows, and every renderer formats a row through
+:func:`~tripace.timekit.format_split`.  Rendering is deterministic: the
+same config always yields byte-identical output.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import statistics
@@ -17,13 +22,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .archive import Archive, load_archive, select_group, synthesize_archive
+from .archive import MIN_ARCHIVE_SIZE, Archive, load_archive, select_group, synthesize_archive
 from .preference import (
     DISCIPLINES,
     ModelConfig,
     NoFeasibleSolutionError,
     PredictionResult,
-    SplitVector,
     predict,
 )
 from .pso import PsoConfig, integer_setting
@@ -70,8 +74,10 @@ class ExperimentConfig:
             raise ValueError("exactly one of archive_path and synth_spec must be set")
         if self.archive_path is not None and self.group is None:
             raise ValueError("group is required when loading an archive file")
-        for name in ("runs", "base_seed"):
+        for name in ("top_n", "runs", "base_seed"):
             object.__setattr__(self, name, integer_setting(name, getattr(self, name)))
+        if self.top_n < MIN_ARCHIVE_SIZE:
+            raise ValueError(f"top_n must be at least {MIN_ARCHIVE_SIZE}, got {self.top_n}")
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
         if self.base_seed < -1:
@@ -96,19 +102,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """One prediction run: either a split plan or a recorded failure."""
+    """One prediction run: its prediction, or the reason it has none."""
 
     index: int
     seed: int
-    splits: SplitVector | None
-    total: float | None
-    correlation_before: float | None
-    correlation_after: float | None
+    prediction: PredictionResult | None
     error: str | None = None
 
     @property
     def feasible(self) -> bool:
         return self.error is None
+
+    @property
+    def minutes(self) -> tuple[float, ...]:
+        """The report row of a feasible run: the five splits and their total."""
+        splits = self.prediction.splits
+        return (*splits, splits.total())
 
 
 @dataclass(frozen=True)
@@ -185,32 +194,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     outcomes: list[RunOutcome] = []
     for index in range(1, cfg.runs + 1):
         pso_cfg = cfg.pso_config(index)
-        seed = pso_cfg.rng_seed
         try:
-            result: PredictionResult = predict(archive, cfg.model, pso_cfg)
+            outcome = RunOutcome(index, pso_cfg.rng_seed, predict(archive, cfg.model, pso_cfg))
         except NoFeasibleSolutionError as exc:
-            outcomes.append(
-                RunOutcome(
-                    index=index,
-                    seed=seed,
-                    splits=None,
-                    total=None,
-                    correlation_before=base_sum,
-                    correlation_after=None,
-                    error=str(exc),
-                )
-            )
-            continue
-        outcomes.append(
-            RunOutcome(
-                index=index,
-                seed=seed,
-                splits=result.splits,
-                total=result.total,
-                correlation_before=result.correlation_before,
-                correlation_after=result.correlation_after,
-            )
-        )
+            outcome = RunOutcome(index, pso_cfg.rng_seed, None, str(exc))
+        outcomes.append(outcome)
 
     feasible = [o for o in outcomes if o.feasible]
     if not feasible:
@@ -230,9 +218,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _aggregate(
     feasible: Sequence[RunOutcome],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    columns = [
-        [getattr(o.splits, name) for o in feasible] for name in DISCIPLINES
-    ] + [[o.total for o in feasible]]
+    columns = list(zip(*(o.minutes for o in feasible)))
     means = tuple(statistics.fmean(col) for col in columns)
     if len(feasible) > 1:
         stdevs = tuple(statistics.stdev(col) for col in columns)
@@ -241,18 +227,13 @@ def _aggregate(
     return means, stdevs
 
 
-def _row_cells(outcome: RunOutcome) -> list[str]:
-    assert outcome.splits is not None
-    values = [getattr(outcome.splits, name) for name in DISCIPLINES] + [outcome.total]
-    return [format_split(v) for v in values]
-
-
 def emit_report(report: ExperimentReport, format: str) -> str:
     """Render a report as a text table, CSV, or JSON document.
 
     The text table carries the familiar race-report columns plus Mean and
     Stdev rows; CSV and JSON additionally carry the full-precision minute
-    values and the before/after correlation sums of each run.
+    values and the before/after correlation sums of each run; the sum
+    before is the archive's own, the same for every run.
     """
     if format == "text":
         return _emit_text(report)
@@ -271,7 +252,8 @@ def _emit_text(report: ExperimentReport) -> str:
     ]
     for outcome in report.per_run:
         if outcome.feasible:
-            lines.append(" | ".join([str(outcome.index)] + _row_cells(outcome)))
+            cells = [format_split(v) for v in outcome.minutes]
+            lines.append(" | ".join([str(outcome.index)] + cells))
         else:
             lines.append(f"{outcome.index} | infeasible")
     if report.mean_row is not None:
@@ -281,7 +263,7 @@ def _emit_text(report: ExperimentReport) -> str:
         if outcome.feasible:
             lines.append(
                 f"run {outcome.index}: correlation sum "
-                f"{outcome.correlation_before:.6f} -> {outcome.correlation_after:.6f}"
+                f"{report.archive_correlation_sum:.6f} -> {outcome.prediction.correlation_after:.6f}"
             )
         else:
             lines.append(f"run {outcome.index}: {outcome.error}")
@@ -289,10 +271,9 @@ def _emit_text(report: ExperimentReport) -> str:
 
 
 def _emit_csv(report: ExperimentReport) -> str:
-    import csv as _csv
-
+    r_before = repr(report.archive_correlation_sum)
     buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["row"]
         + [f"{name}_min" for name in DISCIPLINES]
@@ -302,15 +283,15 @@ def _emit_csv(report: ExperimentReport) -> str:
     )
     for outcome in report.per_run:
         if outcome.feasible:
-            minutes = [getattr(outcome.splits, n) for n in DISCIPLINES] + [outcome.total]
+            minutes = outcome.minutes
             writer.writerow(
                 [outcome.index]
                 + [repr(v) for v in minutes]
                 + [format_split(v) for v in minutes]
-                + [repr(outcome.correlation_before), repr(outcome.correlation_after), "ok"]
+                + [r_before, repr(outcome.prediction.correlation_after), "ok"]
             )
         else:
-            writer.writerow([outcome.index] + [""] * 12 + [repr(outcome.correlation_before), "", "infeasible"])
+            writer.writerow([outcome.index] + [""] * 12 + [r_before, "", "infeasible"])
     for label, row in (("mean", report.mean_row), ("stdev", report.stdev_row)):
         if row is not None:
             writer.writerow(
@@ -326,16 +307,9 @@ def _emit_json(report: ExperimentReport) -> str:
     def run_payload(outcome: RunOutcome) -> dict:
         payload: dict = {"run": outcome.index, "seed": outcome.seed}
         if outcome.feasible:
-            payload["splits_min"] = {
-                name: getattr(outcome.splits, name) for name in DISCIPLINES
-            }
-            payload["splits"] = {
-                name: format_split(getattr(outcome.splits, name)) for name in DISCIPLINES
-            }
-            payload["total_min"] = outcome.total
-            payload["total"] = format_split(outcome.total)
-            payload["r_before"] = outcome.correlation_before
-            payload["r_after"] = outcome.correlation_after
+            payload.update(row_payload(outcome.minutes))
+            payload["r_before"] = report.archive_correlation_sum
+            payload["r_after"] = outcome.prediction.correlation_after
         else:
             payload["error"] = outcome.error
         return payload

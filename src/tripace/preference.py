@@ -27,9 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from numbers import Real
-from typing import Callable
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .archive import Archive, extend_archive
 from .pso import PsoConfig, run
@@ -56,8 +54,7 @@ class NoFeasibleSolutionError(RuntimeError):
     """Every evaluated candidate was infeasible within the budget."""
 
 
-@dataclass(frozen=True)
-class SplitVector:
+class SplitVector(NamedTuple):
     """One candidate or predicted split assignment, minutes per discipline."""
 
     swim: float
@@ -68,9 +65,6 @@ class SplitVector:
 
     def total(self) -> float:
         return self.swim + self.t1 + self.bike + self.t2 + self.run
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.swim, self.t1, self.bike, self.t2, self.run])
 
 
 def _finite_pair(name: str, pair: object) -> tuple[float, float]:
@@ -138,9 +132,10 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class PredictionResult:
+    """The best plan of one run and the archive's correlation sum with it
+    appended; the sum without it is ``archive_correlation(base).sum``."""
+
     splits: SplitVector
-    total: float
-    correlation_before: float
     correlation_after: float
 
 
@@ -226,9 +221,4 @@ def predict(base: Archive, cfg: ModelConfig, pso_cfg: PsoConfig) -> PredictionRe
         )
     splits = SplitVector(*result.best_position)
     after = archive_correlation(extend_archive(base, splits))
-    return PredictionResult(
-        splits=splits,
-        total=splits.total(),
-        correlation_before=base_pair.sum,
-        correlation_after=after.sum,
-    )
+    return PredictionResult(splits=splits, correlation_after=after.sum)

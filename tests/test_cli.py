@@ -20,7 +20,7 @@ from tripace.experiment import (
     emit_report,
     run_experiment,
 )
-from tripace.preference import ModelConfig, SplitVector
+from tripace.preference import ModelConfig, PredictionResult, SplitVector
 from tripace.timekit import parse_duration
 
 HIGH_SPEC = {
@@ -60,7 +60,7 @@ class TestRunExperiment:
 
     def test_mean_total_consistency(self):
         report = run_experiment(self.make_config(runs=3))
-        totals = [o.total for o in report.per_run if o.feasible]
+        totals = [o.minutes[5] for o in report.per_run if o.feasible]
         assert report.mean_row[5] == pytest.approx(sum(totals) / len(totals), abs=1e-9)
         assert report.mean_row[5] == pytest.approx(sum(report.mean_row[:5]), abs=1e-9)
 
@@ -100,6 +100,8 @@ class TestRunExperiment:
             ("base_seed", True, "base_seed must be an integer, got True"),
             ("c1", -1.0, "learning factors must be non-negative, got c1=-1.0, c2=2.0"),
             ("c2", float("nan"), "learning factors must be finite, got c1=2.0, c2=nan"),
+            ("top_n", 2, "top_n must be at least 3, got 2"),
+            ("top_n", 2.5, "top_n must be an integer, got 2.5"),
         ],
     )
     def test_swarm_settings_checked_at_construction(self, setting, value, message):
@@ -141,24 +143,18 @@ class TestEmitReport:
         assert doc["runs"] == [] and doc["mean"] is None
 
     def test_infeasible_row_rendered(self):
-        outcome = RunOutcome(
-            index=1, seed=2, splits=None, total=None,
-            correlation_before=0.7, correlation_after=None, error="no feasible plan",
-        )
+        outcome = RunOutcome(index=1, seed=2, prediction=None, error="no feasible plan")
         text = emit_report(self.make_report([outcome]), "text")
         assert "1 | infeasible" in text
         assert "no feasible plan" in text
 
     def test_infeasible_row_pinned_in_csv_and_json(self):
-        outcome = RunOutcome(
-            index=1, seed=2, splits=None, total=None,
-            correlation_before=0.7, correlation_after=None, error="no feasible plan",
-        )
+        outcome = RunOutcome(index=1, seed=2, prediction=None, error="no feasible plan")
         report = self.make_report([outcome])
         assert emit_report(report, "csv") == (
             "row,swim_min,t1_min,bike_min,t2_min,run_min,total_min,"
             "swim,t1,bike,t2,run,total,r_before,r_after,status\n"
-            "1,,,,,,,,,,,,,0.7,,infeasible\n"
+            "1,,,,,,,,,,,,,0.701,,infeasible\n"
         )
         assert emit_report(report, "json") == (
             '{\n  "archive": {\n    "label": "demo",\n    "group": "M25-29",\n'
@@ -171,8 +167,7 @@ class TestEmitReport:
     def test_json_round_trip(self):
         splits = SplitVector(33.0, 3.0, 165.0, 3.5, 93.0)
         outcome = RunOutcome(
-            index=1, seed=2, splits=splits, total=splits.total(),
-            correlation_before=0.70, correlation_after=0.71,
+            index=1, seed=2, prediction=PredictionResult(splits=splits, correlation_after=0.71)
         )
         report = self.make_report(
             [outcome],
@@ -182,6 +177,7 @@ class TestEmitReport:
         doc = json.loads(emit_report(report, "json"))
         assert doc["runs"][0]["splits_min"]["swim"] == 33.0
         assert doc["runs"][0]["total_min"] == splits.total()
+        assert doc["runs"][0]["r_before"] == 0.7010
         assert doc["mean"]["total_min"] == splits.total()
         assert doc["archive"]["correlation_sum"] == 0.7010
 
@@ -254,6 +250,17 @@ class TestCorrelateCommand:
         assert done.returncode == 0
         assert done.stderr.startswith("skipped 1 row(s) while loading:\n")
         assert done.stderr.count("dnf.csv row 7:") == 1
+
+    def test_top_n_below_minimum_rejected_before_synthesis(self, capsys, monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("the archive was synthesized before top_n was checked")
+
+        monkeypatch.setattr("tripace.experiment.synthesize_archive", no_synthesis)
+        code = main(["correlate", "--synth-spec", high_spec_json(), "--top-n", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: top_n must be at least 3, got 2\n"
 
     def test_synth_source_prints_values_near_targets(self, capsys):
         code = main(["correlate", "--synth-spec", high_spec_json()])
@@ -365,6 +372,7 @@ class TestPredictCommand:
                 "max_evaluations must cover at least one evaluation per particle, "
                 "got 10 for swarm_size 50",
             ),
+            ("--top-n", "2", "top_n must be at least 3, got 2"),
         ],
     )
     def test_swarm_setting_rejected_before_the_archive_is_read(self, capsys, option, value, message):
