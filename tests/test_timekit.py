@@ -42,6 +42,12 @@ class TestParse:
         assert parse_duration("0:00:00.01") == pytest.approx(0.01 / 60.0)
 
 
+# The two grammars format_split renders, by colon count, and a finite split
+# that falls in each.
+COLONS = {"hms": 2, "ms": 1}
+FINITE_EXAMPLE = {"hms": 75.0, "ms": 2.81}
+
+
 class TestFormat:
     def test_hms(self):
         assert format_split(299.997) == "4:59:59.82"
@@ -65,6 +71,15 @@ class TestFormat:
 
     def test_ms_just_below_the_hour(self):
         assert format_split(59.9999) == "59:59.99"
+
+    # A finite value of each grammar renders; a non-finite one is refused
+    # before any grammar is picked.
+    @pytest.mark.parametrize("style", ["hms", "ms"])
+    @pytest.mark.parametrize("minutes", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, minutes, style):
+        assert format_split(FINITE_EXAMPLE[style]).count(":") == COLONS[style]
+        with pytest.raises(ValueError, match="must be finite"):
+            format_split(minutes)
 
 
 class TestFormatSplit:
@@ -94,3 +109,28 @@ class TestFormatSplit:
 def test_format_split_parses_back(minutes):
     # half of the last rendered digit, a hundredth of a second
     assert abs(parse_duration(format_split(minutes)) - minutes) <= 1.0 / 12000.0 + 1e-9
+
+
+@given(
+    minutes=st.floats(min_value=0.0, max_value=6000.0, allow_nan=False),
+    style=st.sampled_from(["hms", "ms"]),
+)
+@settings(max_examples=300, deadline=None)
+# The 60-minute edge: the first two round to 60:00.00 of clock time and must
+# render as 1:00:00.00; the third renders 59:59.99, the last centisecond below
+# it.  Pinned so that the edge runs every time, not only when the random
+# search finds it.
+@example(minutes=1499.999999999999, style="ms")
+@example(minutes=59.999916666666664, style="ms")
+@example(minutes=59.9999, style="ms")
+def test_round_trip_property(minutes, style):
+    # "ms" draws a split below the hour, "hms" one from the hour up
+    if style == "ms":
+        minutes = minutes % 60.0
+    else:
+        minutes = 60.0 + minutes
+    text = format_split(minutes)
+    # a value that rounds up to the hour takes the hour grammar
+    expected = "hms" if int(minutes * 6000.0 + 0.5) >= 360000 else style
+    assert text.count(":") == COLONS[expected]
+    assert abs(parse_duration(text) - minutes) <= 1.0 / 12000.0 + 1e-9
