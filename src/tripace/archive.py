@@ -62,7 +62,8 @@ class ResultRecord:
         for name in ("swim", "t1", "bike", "t2", "run"):
             if not getattr(self, name) > 0.0:
                 raise ArchiveError(f"split {name!r} must be strictly positive")
-        if abs(self.overall - self.split_sum()) > OVERALL_SLACK:
+        # written so a NaN difference (infinite overall and split sum) fails
+        if not abs(self.overall - self.split_sum()) <= OVERALL_SLACK:
             raise ArchiveError(
                 f"overall {self.overall:.4f} differs from split sum "
                 f"{self.split_sum():.4f} by more than {OVERALL_SLACK} min"
@@ -130,7 +131,8 @@ def _record_from_row(row: dict[str, str]) -> ResultRecord:
 
 def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
     """Non-blank rows as they are read, each with the file line it ends on."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports start with
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -147,7 +149,7 @@ def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
 
 def _rows_from_json(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
     """Result objects, each with its 1-based entry number."""
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     if not isinstance(payload, list):
         raise ArchiveError(f"{path}: expected a JSON array of result objects")

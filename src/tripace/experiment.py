@@ -19,6 +19,7 @@ import json
 import statistics
 import sys
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
@@ -131,6 +132,13 @@ class ExperimentReport:
     stdev_row: tuple[float, ...] | None
 
 
+def _real(value: object) -> float:
+    """A real number as a float; a bool, a string or anything else raises."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(value)
+
+
 def synthesize_from_spec(spec: dict) -> Archive:
     """Build a synthetic archive from a plain-dict description.
 
@@ -147,11 +155,14 @@ def synthesize_from_spec(spec: dict) -> Archive:
     for key, value in spec.items():
         kind = _SYNTH_TYPES[key]
         try:
-            if kind in (list, str) and not isinstance(value, kind):
+            if kind is int:
+                values[key] = integer_setting(key, value)
+            elif kind is float:
+                values[key] = _real(value)
+            elif isinstance(value, kind):
+                values[key] = [_real(v) for v in value] if kind is list else value
+            else:
                 raise TypeError(value)
-            values[key] = [float(v) for v in value] if kind is list else kind(value)
-            if kind is int and (isinstance(value, bool) or values[key] != value):
-                raise TypeError(value)  # a bool, or a number int() would truncate
         except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"synthesis spec key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}"

@@ -14,20 +14,22 @@ clamped to the violated bound and the corresponding velocity component is
 zeroed.  :func:`move` is that step for m particles at once.
 
 The swarm state is three (NP, D) float64 arrays: positions, velocities and
-personal bests.  numpy does not pay on one five-component vector, but it
-does on a whole generation, so each generation moves all of its particles
-with one :func:`move` call against the current global best.  Fitness is
-still called once per particle, in index order, with the position as a
-tuple of floats.  The global best is asynchronous (Carlisle & Dozier 2001):
-a particle sees bests found earlier in its own generation.  So when a
-particle becomes the new global best, the particles after it are moved
-again with the new best.  A generation therefore costs one vectorised move
-plus one more for each mid-generation change of the global best, and the
-speed rests on such changes being rare.  Every row is computed in the
+personal bests.  :func:`run` is one generation loop: generation 0 scores
+the starting positions, and every later generation first moves all of its
+particles with one :func:`move` call against the current global best (numpy
+does not pay on one five-component vector, but it does on a whole
+generation).  Fitness is called once per particle, in index order, with the
+position as a tuple of floats.  The global best is asynchronous (Carlisle
+& Dozier 2001): a particle sees bests found earlier in its own generation.
+So when a particle becomes the new global best, the particles after it are
+moved again with the new best.  A moved generation therefore costs one
+vectorised move plus one more for each mid-generation change of the global
+best, and the speed rests on such changes being rare.  Each row uses the
 scalar association above, so the positions are bit for bit those of a
 particle-by-particle loop.  A particle's personal best changes only at its
 own move, so personal bests are updated once per generation, with one
-masked assignment.
+masked assignment; personal values start at infinity, so generation 0 sets
+them with that same assignment.
 
 Reproducibility contract: a single seeded generator drives one run.
 Initialization draws all NP * D uniforms in one call, particle by particle
@@ -145,13 +147,14 @@ def move(
 def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     """Minimize ``fitness`` within the bounds under the evaluation budget.
 
-    The initial generation evaluates the random starting positions, with
-    velocities at zero; every later generation moves, evaluates and ranks
-    each particle in index order, so particles later in the scan already
-    see bests found earlier in the same generation.  Stops as soon as the
-    budget is exhausted, mid generation if need be.  The best position is
-    the tuple of floats that fitness scored.  The history holds the global
-    best after each generation and never increases.
+    One loop runs every generation: generation 0 scores the random starting
+    positions, with velocities at zero, and every later generation moves
+    its particles first.  Each generation scores and ranks its particles in
+    index order, so particles later in the scan already see bests found
+    earlier in the same generation.  Stops as soon as the budget is
+    exhausted, mid generation if need be.  The best position is the tuple
+    of floats that fitness scored.  The history holds the global best after
+    each generation and never increases.
     """
     rng = np.random.default_rng(config.rng_seed)
     size = config.swarm_size
@@ -164,45 +167,38 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
 
     positions = lower + rng.random((size, len(lower))) * (upper - lower)
     velocities = np.zeros_like(positions)
-    # particle 0 stands in as the global best while no score is finite
-    best_position = positions[0].copy()
-    best_value = math.inf
-    values = []
-    for i, row in enumerate(positions.tolist()):
-        value = float(fitness(tuple(row)))
-        # Non-finite scores count against the budget but never become a best.
-        if not isfinite(value):
-            value = math.inf
-        elif value <= best_value:
-            best_position = positions[i].copy()
-            best_value = value
-        values.append(value)
-    personal_values = np.array(values)
     personal_bests = positions.copy()
-    used = size
-    history = [best_value]
+    personal_values = np.full(size, math.inf)
+    # particle 0 stands in as the global best while no score is finite
+    best_position = positions[0].tolist()
+    best_value = math.inf
+    used = 0
+    history = []
 
     while used < budget:
         moves = min(size, budget - used)
-        u = rng.random(2 * size)
-        u1 = u[0 : 2 * moves : 2]
-        u2 = u[1 : 2 * moves : 2]
         # Only the last generation can be short, so its state may shrink.
         positions = positions[:moves]
         velocities = velocities[:moves]
         bests = personal_bests[:moves]
-        new_positions, new_velocities = move(
-            positions, velocities, bests, best_position, c1, c2, u1, u2, lower, upper
-        )
+        new_positions, new_velocities = positions, velocities
+        if used:  # generation 0 scores the starting positions where they are
+            u = rng.random(2 * size)
+            u1 = u[0 : 2 * moves : 2]
+            u2 = u[1 : 2 * moves : 2]
+            new_positions, new_velocities = move(
+                positions, velocities, bests, best_position, c1, c2, u1, u2, lower, upper
+            )
         rows = new_positions.tolist()
         values = []
         for i in range(moves):
             value = float(fitness(tuple(rows[i])))
             values.append(value)
+            # Non-finite scores count against the budget but never become a best.
             if value <= best_value and isfinite(value):
-                best_position = new_positions[i].copy()
+                best_position = rows[i]
                 best_value = value
-                if i + 1 < moves:
+                if used and i + 1 < moves:
                     # the particles after i have to see the new global best
                     rest = slice(i + 1, moves)
                     new_positions[rest], new_velocities[rest] = move(
@@ -219,7 +215,7 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
         history.append(best_value)
 
     return PsoResult(
-        best_position=tuple(best_position.tolist()),
+        best_position=tuple(best_position),
         best_value=best_value,
         evaluations_used=used,
         history=history,

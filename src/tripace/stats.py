@@ -38,9 +38,11 @@ def _centred_sums(
 ) -> tuple[float, float, float, float, float]:
     """Means and centred sums ``(mean_x, mean_y, Sxx, Syy, Sxy)`` of two samples.
 
-    Two-pass: the means first, then dot products of the centred samples.
-    Raises :class:`CorrelationUndefinedError` for mismatched lengths, or when
-    the samples plus ``appended`` points to come number fewer than 3.
+    Two-pass: the means first, then dot products of the centred samples.  A
+    constant sample is centred on its own value, whose centred sums are then
+    exactly 0.0; its numpy mean can be an ulp off.  Raises
+    :class:`CorrelationUndefinedError` for mismatched lengths, or when the
+    samples plus ``appended`` points to come number fewer than 3.
     """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
@@ -52,11 +54,15 @@ def _centred_sums(
         raise CorrelationUndefinedError(
             f"correlation undefined: need at least 3 points, got {xs.size + appended}"
         )
-    mean_x = float(xs.mean())
-    mean_y = float(ys.mean())
+    mean_x = _mean(xs)
+    mean_y = _mean(ys)
     xc = xs - mean_x
     yc = ys - mean_y
     return mean_x, mean_y, float(np.dot(xc, xc)), float(np.dot(yc, yc)), float(np.dot(xc, yc))
+
+
+def _mean(sample: np.ndarray) -> float:
+    return float(sample[0]) if sample.min() == sample.max() else float(sample.mean())
 
 
 def _correlation(sxx: float, syy: float, sxy: float) -> float:

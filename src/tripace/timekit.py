@@ -31,9 +31,9 @@ def parse_duration(text: str) -> float:
     """Parse a time string into floating-point minutes.
 
     The colon count picks the grammar.  Positional fields are range-checked:
-    minutes and seconds must stay below 60.  Raises
-    :class:`DurationParseError` on malformed input, naming the offending
-    field.
+    minutes and seconds must stay below 60, and the time in minutes must
+    be finite.  Raises :class:`DurationParseError` on malformed input,
+    naming the offending field.
     """
     stripped = text.strip()
     if not stripped:
@@ -46,14 +46,14 @@ def parse_duration(text: str) -> float:
         m = _HMS_RE.match(stripped)
         if m is None:
             raise DurationParseError(f"not an h:mm:ss[.ss] time: {text!r}")
-        hours, minutes, seconds = int(m.group(1)), int(m.group(2)), float(m.group(3))
+        # float, not int: an hours field too long for a float reads as inf
+        hours, minutes, seconds = float(m.group(1)), int(m.group(2)), float(m.group(3))
         if minutes >= 60:
             raise DurationParseError(f"minutes field {minutes} out of range in {text!r}")
         if seconds >= 60.0:
             raise DurationParseError(f"seconds field {m.group(3)} out of range in {text!r}")
-        return hours * 60.0 + minutes + seconds / 60.0
-
-    if colons == 1:
+        total = hours * 60.0 + minutes + seconds / 60.0
+    elif colons == 1:
         m = _MS_RE.match(stripped)
         if m is None:
             raise DurationParseError(f"not an m:ss[.ss] time: {text!r}")
@@ -62,13 +62,16 @@ def parse_duration(text: str) -> float:
             raise DurationParseError(f"minutes field {minutes} out of range in {text!r}")
         if seconds >= 60.0:
             raise DurationParseError(f"seconds field {m.group(2)} out of range in {text!r}")
-        return minutes + seconds / 60.0
-
-    if colons:
+        total = minutes + seconds / 60.0
+    elif colons:
         raise DurationParseError(f"too many fields in {text!r}")
-    if _DECIMAL_RE.match(stripped) is None:
+    elif _DECIMAL_RE.match(stripped) is None:
         raise DurationParseError(f"not a decimal-minutes value: {text!r}")
-    return float(stripped)
+    else:
+        total = float(stripped)
+    if not math.isfinite(total):
+        raise DurationParseError(f"time too large for a float: {text!r}")
+    return total
 
 
 def format_split(minutes: float) -> str:

@@ -42,6 +42,11 @@ class TestResultRecord:
         with pytest.raises(ArchiveError, match="overall"):
             ResultRecord("X", "-", "M", 1, 30.0, 3.0, 160.0, 3.0, 95.0, overall=292.0)
 
+    def test_infinite_split_and_overall_rejected(self):
+        inf = float("inf")
+        with pytest.raises(ArchiveError, match="overall"):
+            ResultRecord("X", "-", "M", 1, inf, 3.0, 160.0, 3.0, 95.0, overall=inf)
+
     def test_splits_strictly_positive(self):
         with pytest.raises(ArchiveError, match="t1"):
             ResultRecord("X", "-", "M", 1, 30.0, 0.0, 160.0, 3.0, 95.0, overall=288.0)
@@ -69,6 +74,11 @@ class TestLoadCsv:
         assert records[0].athlete_name == "Guy Crawford"
         assert records[0].bike == pytest.approx(102.63)
         assert records[0].overall == pytest.approx(211.93)
+
+    def test_byte_order_mark_accepted(self, tmp_path, table1_records):
+        path = tmp_path / "bom.csv"
+        path.write_text(table1_csv_text(), encoding="utf-8-sig")
+        assert load_archive(path) == (table1_records, [])
 
     def test_header_only_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -170,6 +180,12 @@ class TestLoadJson:
         records, skipped = load_archive(path)
         assert skipped == []
         assert records == table1_records
+
+    def test_byte_order_mark_accepted(self, tmp_path, table1_records):
+        payload = [dict(zip(CSV_COLUMNS, row)) for row in TABLE1_ROWS]
+        path = tmp_path / "bom.json"
+        path.write_text(json.dumps(payload), encoding="utf-8-sig")
+        assert load_archive(path) == (table1_records, [])
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -232,6 +232,25 @@ class TestCorrelateCommand:
         assert "row 7: row too short" in err and "row 8: 1 field(s) beyond" in err
         assert "Traceback" not in err
 
+    def test_overflowing_time_rows_skipped(self, table1_csv, tmp_path, capsys):
+        huge = "9" * 400
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            table1_csv_text()
+            + f"Hours,SLO,PRO-M,6,{huge}:00:00,2.00,100.00,2.00,80.00,208.00\n"
+            + f"Minutes,SLO,PRO-M,7,24.00,2.00,100.00,2.00,{huge},{huge}\n"
+        )
+        assert main(["correlate", "--archive", table1_csv, "--group", "PRO-M"]) == 0
+        expected = capsys.readouterr().out
+        code = main(["correlate", "--archive", str(path), "--group", "PRO-M"])
+        assert code == 0
+        captured = capsys.readouterr()
+        # the header names the file; the r lines come from the five table rows
+        assert captured.out.splitlines()[1:] == expected.splitlines()[1:]
+        assert "skipped 2 row(s)" in captured.err
+        assert "huge.csv row 7: column 'swim'" in captured.err
+        assert "huge.csv row 8: column 'run'" in captured.err
+
     def test_skipped_row_reported_once(self, tmp_path):
         # a separate interpreter, because in-process pytest captures logging
         # records and would hide a second copy printed through logging
@@ -491,6 +510,10 @@ class TestSynthCommand:
             ("size", 30.7),
             ("max_tries", True),
             ("seed", False),
+            ("r_swim_bike", "0.73"),
+            ("r_swim_bike", True),
+            ("tolerance", "0.5"),
+            ("means", [str(v) for v in SYNTH_MEANS]),
         ],
     )
     def test_mistyped_spec_entry_exits_2(self, tmp_path, capsys, key, value):

@@ -111,10 +111,18 @@ def bounds_args():
     return mostly(st.dictionaries(names, value, max_size=3).map(json.dumps), json_arg_text)
 
 
+# Time cells whose digits overflow a float, as hours and as decimal
+# minutes, put in one of the six time columns.
+long_digits = st.tuples(
+    st.just("junk"), st.integers(4, 9), st.sampled_from(["9" * 400 + ":00:00", "9" * 400])
+)
+
+
 def _garbled(fields):
     """A CSV row from ``fields`` with some replaced by junk, dropped or added."""
     edits = st.lists(
-        st.tuples(st.sampled_from(["junk", "drop", "add"]), st.integers(0, 9), st.text(max_size=8)),
+        st.tuples(st.sampled_from(["junk", "drop", "add"]), st.integers(0, 9), st.text(max_size=8))
+        | long_digits,
         min_size=1,
         max_size=3,
     )

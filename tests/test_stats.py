@@ -30,6 +30,15 @@ class TestPearsonReference:
         with pytest.raises(CorrelationUndefinedError, match="zero variance"):
             pearson((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
 
+    # constants whose numpy mean over 30 copies is an ulp off
+    @pytest.mark.parametrize("constant", [0.1, 1 / 3, 167.13])
+    def test_constant_sample_raises(self, constant):
+        varied = [float(i * i) for i in range(30)]
+        with pytest.raises(CorrelationUndefinedError, match="zero variance in x"):
+            pearson([constant] * 30, varied)
+        with pytest.raises(CorrelationUndefinedError, match="zero variance in y"):
+            pearson(varied, [constant] * 30)
+
     def test_length_mismatch(self):
         with pytest.raises(CorrelationUndefinedError, match="length mismatch"):
             pearson((1.0, 2.0, 3.0), (1.0, 2.0))
@@ -66,6 +75,12 @@ class TestAppendedPearson:
         correlation = appended_pearson((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
         with pytest.raises(CorrelationUndefinedError, match="zero variance in x"):
             correlation(1.0, 4.0)
+
+    @pytest.mark.parametrize("constant", [0.1, 1 / 3, 167.13])
+    def test_constant_extended_sample_raises(self, constant):
+        correlation = appended_pearson([constant] * 30, [float(i) for i in range(30)])
+        with pytest.raises(CorrelationUndefinedError, match="zero variance in x"):
+            correlation(constant, 5.0)
 
     def test_too_short(self):
         with pytest.raises(CorrelationUndefinedError, match="at least 3"):

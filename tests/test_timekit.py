@@ -38,6 +38,11 @@ class TestParse:
         with pytest.raises(DurationParseError):
             parse_duration(bad)
 
+    @pytest.mark.parametrize("huge", ["9" * 400 + ":00:00", "9" * 400], ids=["hms", "decimal"])
+    def test_minutes_must_be_finite(self, huge):
+        with pytest.raises(DurationParseError, match="too large"):
+            parse_duration(huge)
+
     def test_fractional_seconds_kept(self):
         assert parse_duration("0:00:00.01") == pytest.approx(0.01 / 60.0)
 
