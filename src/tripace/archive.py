@@ -1,11 +1,13 @@
-"""Result archives: loading, group selection, extension, and synthesis.
+"""The split schema and result archives: loading, group selection, extension, synthesis.
 
 An archive is the ordered list of finisher rows for one race and one
 category, and is the reference population against which a candidate split
 assignment is judged.  Loading accepts the CSV/JSON exports described in the
 README; rows that fail basic sanity checks (splits not positive, overall not
 matching the split sum) are skipped and reported rather than aborting the
-load, since public race exports routinely contain DNF/DSQ rows.
+load, since public race exports routinely contain DNF/DSQ rows.  The split
+schema, the five disciplines in race order and the vector of their times,
+lives here, below the model that predicts splits.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .stats import pearson
 from .timekit import DurationParseError, parse_duration
 
-if TYPE_CHECKING:
-    from .preference import SplitVector
+DISCIPLINES = ("swim", "t1", "bike", "t2", "run")
 
-CSV_COLUMNS = ("name", "nation", "category", "place", "swim", "t1", "bike", "t2", "run", "overall")
+CSV_COLUMNS = ("name", "nation", "category", "place", *DISCIPLINES, "overall")
 
 # Slack allowed between a row's overall time and the sum of its five splits,
 # in minutes; covers per-split rounding in source data.
@@ -39,6 +40,19 @@ class ArchiveError(ValueError):
 
 class SynthesisError(RuntimeError):
     """The synthetic generator could not hit the requested correlations."""
+
+
+class SplitVector(NamedTuple):
+    """One candidate or predicted split assignment, minutes per discipline."""
+
+    swim: float
+    t1: float
+    bike: float
+    t2: float
+    run: float
+
+    def total(self) -> float:
+        return self.swim + self.t1 + self.bike + self.t2 + self.run
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,7 @@ class ResultRecord:
     def __post_init__(self) -> None:
         if self.finish_place < 1:
             raise ArchiveError(f"finish place must be positive, got {self.finish_place}")
-        for name in ("swim", "t1", "bike", "t2", "run"):
+        for name in DISCIPLINES:
             if not getattr(self, name) > 0.0:
                 raise ArchiveError(f"split {name!r} must be strictly positive")
         # written so a NaN difference (infinite overall and split sum) fails
@@ -109,24 +123,17 @@ def _record_from_row(row: dict[str, str]) -> ResultRecord:
     if len(row) < len(CSV_COLUMNS):
         missing = [key for key in CSV_COLUMNS if key not in row]
         raise ArchiveError(f"row too short: no value for column(s) {missing}")
-    times = {}
-    for key in ("swim", "t1", "bike", "t2", "run", "overall"):
+    times = []
+    for key in (*DISCIPLINES, "overall"):
         try:
-            times[key] = parse_duration(row[key])
+            times.append(parse_duration(row[key]))
         except DurationParseError as exc:
             raise ArchiveError(f"column {key!r}: {exc}") from exc
     try:
         place = int(row["place"])
     except ValueError as exc:
         raise ArchiveError(f"column 'place': not an integer: {row['place']!r}") from exc
-    return ResultRecord(
-        athlete_name=row["name"],
-        nation=row["nation"],
-        category=row["category"],
-        finish_place=place,
-        overall=times.pop("overall"),
-        **times,
-    )
+    return ResultRecord(row["name"], row["nation"], row["category"], place, *times)
 
 
 def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
@@ -161,6 +168,7 @@ def _rows_from_json(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
 
 
 def _check_columns(names: Iterable[str], path: Path) -> None:
+    names = list(names)
     got = set(names)
     expected = set(CSV_COLUMNS)
     unknown = got - expected
@@ -169,6 +177,9 @@ def _check_columns(names: Iterable[str], path: Path) -> None:
         raise ArchiveError(f"{path}: unknown column(s) {sorted(unknown)}")
     if missing:
         raise ArchiveError(f"{path}: missing column(s) {sorted(missing)}")
+    if len(names) > len(got):
+        repeated = sorted(n for n in got if names.count(n) > 1)
+        raise ArchiveError(f"{path}: duplicate column(s) {repeated}")
 
 
 def load_archive(path: str | Path, format: str = "auto") -> tuple[list[ResultRecord], list[str]]:
@@ -243,18 +254,8 @@ def extend_archive(base: Archive, prediction: SplitVector) -> Archive:
     The appended row carries placeholder identity fields; only its split
     columns matter downstream.  ``base`` is never mutated.
     """
-    appended = ResultRecord(
-        athlete_name="PREDICTION",
-        nation="-",
-        category=base.group,
-        finish_place=base.records[-1].finish_place + 1,
-        swim=prediction.swim,
-        t1=prediction.t1,
-        bike=prediction.bike,
-        t2=prediction.t2,
-        run=prediction.run,
-        overall=prediction.total(),
-    )
+    place = base.records[-1].finish_place + 1
+    appended = ResultRecord("PREDICTION", "-", base.group, place, *prediction, prediction.total())
     return Archive(label=base.label, group=base.group, records=base.records + (appended,))
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .archive import ArchiveError, SynthesisError, write_archive_csv
+from .archive import DISCIPLINES, ArchiveError, SynthesisError, write_archive_csv
 from .experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -29,7 +29,7 @@ from .experiment import (
     run_experiment,
     synthesize_from_spec,
 )
-from .preference import DEFAULT_BOUNDS, DISCIPLINES, ModelConfig
+from .preference import DEFAULT_BOUNDS, ModelConfig
 from .stats import CorrelationUndefinedError, archive_correlation
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _parse_json_arg(value: str, what: str) -> dict:
     except json.JSONDecodeError:
         # not JSON: a path, which may also be too long, a directory or unreadable
         try:
-            text = Path(value).read_text(encoding="utf-8")
+            text = Path(value).read_text(encoding="utf-8-sig")
         except (OSError, ValueError):
             raise argparse.ArgumentTypeError(f"{what} is neither JSON nor a readable file: {value!r}")
         try:

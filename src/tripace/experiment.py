@@ -23,14 +23,15 @@ from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
-from .archive import MIN_ARCHIVE_SIZE, Archive, load_archive, select_group, synthesize_archive
-from .preference import (
+from .archive import (
     DISCIPLINES,
-    ModelConfig,
-    NoFeasibleSolutionError,
-    PredictionResult,
-    predict,
+    MIN_ARCHIVE_SIZE,
+    Archive,
+    load_archive,
+    select_group,
+    synthesize_archive,
 )
+from .preference import ModelConfig, NoFeasibleSolutionError, PredictionResult, predict
 from .pso import PsoConfig, integer_setting
 from .stats import archive_correlation
 from .timekit import format_split

@@ -23,14 +23,13 @@ the numbers the reports print.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .archive import Archive, extend_archive
-from .pso import PsoConfig, run
+from .archive import DISCIPLINES, Archive, SplitVector, extend_archive
+from .pso import PsoConfig, finite_number, run
 from .stats import (  # noqa: F401  -- pearson stays a module attribute for span tracers
     CorrelationPair,
     CorrelationUndefinedError,
@@ -38,8 +37,6 @@ from .stats import (  # noqa: F401  -- pearson stays a module attribute for span
     archive_correlation,
     pearson,
 )
-
-DISCIPLINES = ("swim", "t1", "bike", "t2", "run")
 
 DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
     "swim": (25.0, 50.0),
@@ -54,28 +51,10 @@ class NoFeasibleSolutionError(RuntimeError):
     """Every evaluated candidate was infeasible within the budget."""
 
 
-class SplitVector(NamedTuple):
-    """One candidate or predicted split assignment, minutes per discipline."""
-
-    swim: float
-    t1: float
-    bike: float
-    t2: float
-    run: float
-
-    def total(self) -> float:
-        return self.swim + self.t1 + self.bike + self.t2 + self.run
-
-
 def _finite_pair(name: str, pair: object) -> tuple[float, float]:
     """A bound as a tuple or list of two finite numbers; anything else raises."""
-    if isinstance(pair, (tuple, list)) and len(pair) == 2:
-        if all(isinstance(v, Real) and not isinstance(v, bool) for v in pair):
-            try:
-                if math.isfinite(pair[0]) and math.isfinite(pair[1]):
-                    return pair[0], pair[1]
-            except OverflowError:  # an integer too large for a float
-                pass
+    if isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(finite_number, pair)):
+        return pair[0], pair[1]
     raise ValueError(
         f"bounds for {name!r} must be a [low, high] pair of finite numbers, got {pair!r}"
     )

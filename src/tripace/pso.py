@@ -65,6 +65,16 @@ def integer_setting(name: str, value: object) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def finite_number(value: object) -> bool:
+    """Whether ``value`` is a real number, not a bool, with a finite float value."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    return False
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     swarm_size: int
@@ -76,8 +86,11 @@ class PsoConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
-        object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
+        for name in ("lower", "upper"):
+            bound = tuple(getattr(self, name))
+            if not all(finite_number(v) for v in bound):
+                raise ValueError(f"bounds must be finite numbers, got {name}={bound!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in bound))
         for name in ("swarm_size", "max_evaluations", "rng_seed"):
             object.__setattr__(self, name, integer_setting(name, getattr(self, name)))
         if self.swarm_size < 1:
@@ -88,7 +101,7 @@ class PsoConfig:
             raise ValueError("bound vectors must be non-empty and of equal length")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+        if not (finite_number(self.c1) and finite_number(self.c2)):
             raise ValueError(
                 f"learning factors must be finite, got c1={self.c1!r}, c2={self.c2!r}"
             )

@@ -12,6 +12,7 @@ from tripace.archive import (
     Archive,
     ArchiveError,
     ResultRecord,
+    SplitVector,
     SynthesisError,
     extend_archive,
     load_archive,
@@ -19,7 +20,6 @@ from tripace.archive import (
     synthesize_archive,
     write_archive_csv,
 )
-from tripace.preference import SplitVector
 
 
 def make_record(place=1, category="M25-29", swim=30.0, t1=3.0, bike=160.0, t2=3.0, run=95.0):
@@ -137,6 +137,16 @@ class TestLoadCsv:
         path = tmp_path / "short.csv"
         path.write_text("name,nation,category,place,swim,t1,bike,t2,run\nx,-,M,1,1,1,1,1,1\n")
         with pytest.raises(ArchiveError, match="missing column"):
+            load_archive(path)
+
+    def test_duplicate_column(self, tmp_path):
+        # without the check, the later of the two columns fills every record
+        path = tmp_path / "twice.csv"
+        path.write_text(
+            "name,nation,category,place,swim,t1,bike,t2,run,overall,category\n"
+            "x,-,M,1,1,1,1,1,1,5,Z\n"
+        )
+        with pytest.raises(ArchiveError, match=r"duplicate column\(s\) \['category'\]"):
             load_archive(path)
 
     def test_unreadable_file(self, tmp_path):

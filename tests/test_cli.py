@@ -491,6 +491,14 @@ class TestSynthCommand:
         assert main(["synth", "--synth-spec", str(spec_path), "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_spec_file_with_byte_order_mark(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(high_spec_json(), encoding="utf-8-sig")
+        assert main(["correlate", "--synth-spec", high_spec_json()]) == 0
+        inline = capsys.readouterr().out
+        assert main(["correlate", "--synth-spec", str(spec_path)]) == 0
+        assert capsys.readouterr().out == inline
+
     def test_bad_spec_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["synth", "--synth-spec", "{not json", "--out", "x.csv"])

@@ -5,8 +5,10 @@ malformed pieces (option values, synthesis specs, ``--bounds`` objects and
 archive files in CSV or JSON) and calls :func:`tripace.cli.main` in-process.
 The call must end with exit code 0, 2 or 3, counting argparse's
 ``SystemExit``, and an exit code 2 from ``main`` itself must end stderr with
-one ``error:`` line.  Swarm budgets stay at a few dozen evaluations and
-synthetic archives at a few dozen rows, so the whole test takes seconds.
+one ``error:`` line.  A second property sends every archive file drawn to
+``correlate``, so that each garbled cell reaches the loader.  Swarm budgets
+stay at a few dozen evaluations and synthetic archives at a few dozen rows,
+so the whole test takes seconds.
 """
 
 from __future__ import annotations
@@ -220,6 +222,17 @@ def command_lines(draw):
     return argv, archive
 
 
+def write_archive(tmp: str, archive: tuple[str, str | bytes]) -> str:
+    """Write one ``archive_files`` example into ``tmp``; return its path."""
+    suffix, content = archive
+    path = Path(tmp) / f"results{suffix}"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
 @settings(
     max_examples=120,
     deadline=None,
@@ -231,13 +244,7 @@ def test_malformed_input_ends_in_an_exit_code(call):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"archive": "", "out": str(Path(tmp) / "out.csv")}
         if archive is not None:
-            suffix, content = archive
-            path = Path(tmp) / f"results{suffix}"
-            if isinstance(content, bytes):
-                path.write_bytes(content)
-            else:
-                path.write_text(content, encoding="utf-8")
-            paths["archive"] = str(path)
+            paths["archive"] = write_archive(tmp, archive)
         argv = [token.format(**paths) if token in ("{archive}", "{out}") else token for token in argv]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -251,3 +258,16 @@ def test_malformed_input_ends_in_an_exit_code(call):
     if code == 2 and not from_argparse:
         last = err.getvalue().splitlines()[-1]
         assert last.startswith("error: "), (argv, err.getvalue())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(archive=archive_files)
+def test_malformed_archive_ends_in_an_exit_code(archive):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["correlate", "--archive", write_archive(tmp, archive), "--group", "PRO-M", "--top-n", "5"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), (archive, code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().splitlines()[-1].startswith("error: "), (archive, err.getvalue())

@@ -11,6 +11,12 @@ from tripace.pso import PsoConfig, move, run
 
 TABLE_BOUNDS = ((25.0, 2.0, 140.0, 2.0, 85.0), (50.0, 5.0, 180.0, 5.0, 120.0))
 
+# What a bound or a learning factor must reject: the non-finite floats, a
+# bool, a numeric string and an integer too large for a float.
+NOT_FINITE_NUMBERS = [
+    float("nan"), float("inf"), float("-inf"), True, "2", pytest.param(10**400, id="1e400")
+]
+
 
 def sphere(x):
     return float(np.dot(x, x))
@@ -51,8 +57,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="learning factors"):
             make_config(c1=-0.1)
 
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    @pytest.mark.parametrize("value", NOT_FINITE_NUMBERS)
+    def test_bounds_must_be_finite_numbers(self, field, value):
+        bound = list(getattr(make_config(), field))
+        bound[1] = value
+        with pytest.raises(ValueError, match=f"bounds must be finite numbers, got {field}="):
+            make_config(**{field: tuple(bound)})
+
     @pytest.mark.parametrize("factor", ["c1", "c2"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [*NOT_FINITE_NUMBERS, False, None])
     def test_non_finite_learning_factor(self, factor, value):
         with pytest.raises(ValueError, match="learning factors must be finite"):
             make_config(**{factor: value})
