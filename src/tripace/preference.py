@@ -14,8 +14,9 @@ two-pass correlations over its n + 1 rows, an O(n) cost; the test suite
 keeps that composed form as its oracle.  The swarm instead evaluates
 :func:`_position_fitness`, which computes the archive's means and centred
 sums once per run and updates them in closed form for each candidate
-(Welford 1962; Chan, Golub & LeVeque 1983), so an evaluation costs O(1)
-whatever the archive size.  The two round differently by about 1e-15 in
+(Welford 1962; Chan, Golub & LeVeque 1983) with one call of
+:func:`~tripace.stats.appended_correlation_sum`, so an evaluation costs
+O(1) whatever the archive size.  The two round differently by about 1e-15 in
 the correlation sum and return the same value on the positions real swarm
 runs visit, which the tests check; the two-pass correlations still compute
 the numbers the reports print.
@@ -33,7 +34,7 @@ from .pso import PsoConfig, finite_number, run
 from .stats import (  # noqa: F401  -- pearson stays a module attribute for span tracers
     CorrelationPair,
     CorrelationUndefinedError,
-    appended_pearson,
+    appended_correlation_sum,
     archive_correlation,
     pearson,
 )
@@ -139,13 +140,13 @@ def _position_fitness(
     everything else (including candidates that leave the extended
     correlation undefined) scores the flat infeasibility penalty.
 
-    The archive is fixed for a whole run, so the swim-bike and bike-run
-    correlations of the archive with one candidate row appended come from
-    :func:`~tripace.stats.appended_pearson`: the column means and centred
-    sums are computed once per run, and each call updates them in closed
-    form.  A call costs a few dozen float operations whatever the archive
-    size, where the composed path rebuilds the archive and runs two O(n)
-    two-pass correlations over n + 1 rows.
+    The archive is fixed for a whole run, so the correlation sum of the
+    archive with one candidate row appended comes from one call of
+    :func:`~tripace.stats.appended_correlation_sum`: the column means and
+    centred sums are computed once per run, and each call updates them in
+    closed form.  A call costs a few dozen float operations whatever the
+    archive size, where the composed path rebuilds the archive and runs two
+    O(n) two-pass correlations over n + 1 rows.
 
     The gate order, the ``<=`` comparison with the base sum and the
     returned values are those of the composed definition, and a zero
@@ -159,9 +160,9 @@ def _position_fitness(
     ceiling = cfg.target_ceiling
     penalty = cfg.infeasible_penalty
     base_sum = base_correlation.sum
-    bike = base.bike_column()
-    swim_bike = appended_pearson(base.swim_column(), bike)
-    bike_run = appended_pearson(bike, base.run_column())
+    correlation_sum = appended_correlation_sum(
+        base.swim_column(), base.bike_column(), base.run_column()
+    )
 
     def fitness(position: tuple[float, ...]) -> float:
         x_swim, x_t1, x_bike, x_t2, x_run = position
@@ -169,7 +170,7 @@ def _position_fitness(
         if total > ceiling:
             return penalty
         try:
-            extended = swim_bike(x_swim, x_bike) + bike_run(x_bike, x_run)
+            extended = correlation_sum(x_swim, x_bike, x_run)
         except CorrelationUndefinedError:
             return penalty
         if extended <= base_sum:

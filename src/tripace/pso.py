@@ -27,9 +27,10 @@ vectorised move plus one more for each mid-generation change of the global
 best, and the speed rests on such changes being rare.  Each row uses the
 scalar association above, so the positions are bit for bit those of a
 particle-by-particle loop.  A particle's personal best changes only at its
-own move, so personal bests are updated once per generation, with one
-masked assignment; personal values start at infinity, so generation 0 sets
-them with that same assignment.
+own move.  So personal values are a list of floats, starting at infinity
+and updated as the particles are scored, and the rows of the particles
+that improved are copied into the personal-best array with one indexed
+assignment per generation.
 
 Reproducibility contract: a single seeded generator drives one run.
 Initialization draws all NP * D uniforms in one call, particle by particle
@@ -87,9 +88,14 @@ class PsoConfig:
 
     def __post_init__(self) -> None:
         for name in ("lower", "upper"):
-            bound = tuple(getattr(self, name))
-            if not all(finite_number(v) for v in bound):
-                raise ValueError(f"bounds must be finite numbers, got {name}={bound!r}")
+            try:
+                bound = tuple(getattr(self, name))
+            except TypeError:  # not a sequence: None, a lone number
+                bound = None
+            if bound is None or not all(map(finite_number, bound)):
+                raise ValueError(
+                    f"bounds must be finite numbers, got {name}={getattr(self, name)!r}"
+                )
             object.__setattr__(self, name, tuple(float(v) for v in bound))
         for name in ("swarm_size", "max_evaluations", "rng_seed"):
             object.__setattr__(self, name, integer_setting(name, getattr(self, name)))
@@ -149,11 +155,9 @@ def move(
     a = (c1 * u1)[:, None]
     b = (c2 * u2)[:, None]
     velocities = velocities + a * (personal_bests - positions) + b * (global_best - positions)
-    positions = positions + velocities
-    below = positions < lower
-    above = positions > upper
-    positions = np.where(below, lower, np.where(above, upper, positions))
-    velocities = np.where(below | above, 0.0, velocities)
+    moved = positions + velocities
+    positions = moved.clip(lower, upper)
+    velocities[positions != moved] = 0.0  # velocities is a new array here
     return positions, velocities
 
 
@@ -181,9 +185,9 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     positions = lower + rng.random((size, len(lower))) * (upper - lower)
     velocities = np.zeros_like(positions)
     personal_bests = positions.copy()
-    personal_values = np.full(size, math.inf)
+    personal_values = [math.inf] * size
     # particle 0 stands in as the global best while no score is finite
-    best_position = positions[0].tolist()
+    best_position = tuple(positions[0].tolist())
     best_value = math.inf
     used = 0
     history = []
@@ -202,12 +206,14 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
             new_positions, new_velocities = move(
                 positions, velocities, bests, best_position, c1, c2, u1, u2, lower, upper
             )
-        rows = new_positions.tolist()
-        values = []
+        rows = list(map(tuple, new_positions.tolist()))
+        improved = []
         for i in range(moves):
-            value = float(fitness(tuple(rows[i])))
-            values.append(value)
+            value = float(fitness(rows[i]))
             # Non-finite scores count against the budget but never become a best.
+            if value <= personal_values[i] and isfinite(value):
+                personal_values[i] = value
+                improved.append(i)
             if value <= best_value and isfinite(value):
                 best_position = rows[i]
                 best_value = value
@@ -218,17 +224,15 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
                         positions[rest], velocities[rest], bests[rest], best_position,
                         c1, c2, u1[rest], u2[rest], lower, upper,
                     )
-                    rows[rest] = new_positions[rest].tolist()
+                    rows[rest] = map(tuple, new_positions[rest].tolist())
         positions, velocities = new_positions, new_velocities
-        values = np.array(values)
-        improved = np.isfinite(values) & (values <= personal_values[:moves])
-        bests[improved] = positions[improved]  # bests is a view of personal_bests
-        personal_values[:moves][improved] = values[improved]
+        if improved:
+            bests[improved] = positions[improved]  # bests is a view of personal_bests
         used += moves
         history.append(best_value)
 
     return PsoResult(
-        best_position=tuple(best_position),
+        best_position=best_position,
         best_value=best_value,
         evaluations_used=used,
         history=history,

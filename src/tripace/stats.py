@@ -1,4 +1,5 @@
-"""Pearson correlation and the per-archive correlation pair.
+"""Pearson correlation, the per-archive correlation pair and its O(1)
+appended-row sum.
 
 The fitness machinery watches two column pairs of a result archive: the
 swim-bike correlation and the bike-run correlation.  Transition times never
@@ -85,36 +86,63 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return _correlation(sxx, syy, sxy)
 
 
-def appended_pearson(x: Sequence[float], y: Sequence[float]) -> Callable[[float, float], float]:
-    """Correlation of ``x`` and ``y`` with one more point appended, in O(1).
+def appended_correlation_sum(
+    swim: Sequence[float], bike: Sequence[float], run: Sequence[float]
+) -> Callable[[float, float, float], float]:
+    """Swim-bike plus bike-run correlation with one more row appended, in O(1).
 
-    Returns a function of the appended point ``(x_new, y_new)`` that gives
-    what :func:`pearson` gives on the two samples extended by that point.
-    The means and centred sums of the n given points are computed once,
-    with :func:`pearson`'s two-pass arithmetic; each call then applies the
-    updating formula of Welford (1962) and Chan, Golub & LeVeque (1983),
+    Returns a function of the appended row ``(x_swim, x_bike, x_run)`` that
+    gives ``pearson(swim+, bike+) + pearson(bike+, run+)`` on the columns
+    extended by that row.  The means and centred sums of the n given rows
+    are computed once, with :func:`pearson`'s two-pass arithmetic; each call
+    then applies the updating formula of Welford (1962) and Chan, Golub &
+    LeVeque (1983),
 
         S'xy = Sxy + n / (n + 1) * (x_new - mean_x) * (y_new - mean_y),
 
-    and finishes as :func:`pearson` does: ``S'xy / sqrt(S'xx * S'yy)``
-    clamped to [-1, 1], and :class:`CorrelationUndefinedError` when an
-    extended sample has zero variance.  It rounds differently from
-    :func:`pearson`, within about 1e-15 on samples whose spread is not tiny
-    next to their mean.  Construction raises for mismatched lengths or
-    fewer than two points.
+    to the five sums, sharing the bike deviation and ``S'bb`` between the
+    two pairs, and finishes each pair as :func:`pearson` does:
+    ``S'xy / sqrt(S'xx * S'yy)`` clamped to [-1, 1].  An extended column of
+    zero variance raises :class:`CorrelationUndefinedError`.  It rounds
+    differently from :func:`pearson`, within about 1e-15 per pair on samples
+    whose spread is not tiny next to their mean.  Construction raises for
+    mismatched lengths or fewer than two rows.
     """
-    mean_x, mean_y, sxx, syy, sxy = _centred_sums(x, y, appended=1)
-    n = len(x)
+    mean_s, mean_b, sss, sbb, ssb = _centred_sums(swim, bike, appended=1)
+    _, mean_r, _, srr, sbr = _centred_sums(bike, run, appended=1)
+    n = len(swim)
     weight = n / (n + 1)
+    sqrt = math.sqrt
 
-    def correlation(x_new: float, y_new: float) -> float:
-        dx = x_new - mean_x
-        dy = y_new - mean_y
-        return _correlation(
-            sxx + weight * dx * dx, syy + weight * dy * dy, sxy + weight * dx * dy
-        )
+    def correlation_sum(x_swim: float, x_bike: float, x_run: float) -> float:
+        ds = x_swim - mean_s
+        db = x_bike - mean_b
+        dr = x_run - mean_r
+        wds = weight * ds
+        wdb = weight * db
+        s_ss = sss + wds * ds
+        s_bb = sbb + wdb * db
+        s_rr = srr + weight * dr * dr
+        try:
+            swim_bike = (ssb + wds * db) / sqrt(s_ss * s_bb)
+            bike_run = (sbr + wdb * dr) / sqrt(s_bb * s_rr)
+        except ZeroDivisionError:
+            raise _zero_variance(swim=s_ss, bike=s_bb, run=s_rr) from None
+        if not -1.0 <= swim_bike <= 1.0:
+            swim_bike = min(1.0, max(-1.0, swim_bike))
+        if not -1.0 <= bike_run <= 1.0:
+            bike_run = min(1.0, max(-1.0, bike_run))
+        return swim_bike + bike_run
 
-    return correlation
+    return correlation_sum
+
+
+def _zero_variance(**variances: float) -> CorrelationUndefinedError:
+    """The error for a product of centred sums that is 0.0: a zero variance,
+    or two variances so small that their product underflows."""
+    zero = [name for name, s in variances.items() if s == 0.0]
+    what = f"zero variance in {zero[0]}" if zero else "variances underflow"
+    return CorrelationUndefinedError(f"correlation undefined: {what}")
 
 
 def archive_correlation(archive: Archive) -> CorrelationPair:

@@ -36,17 +36,8 @@ def predict_stdout(argv):
     return out.getvalue()
 
 
-def test_traced_predict_prints_the_untraced_report(monkeypatch):
-    spans = load_spans(monkeypatch)
-    spec = {
-        "seed": 1, "size": 30, "r_swim_bike": 0.73, "r_bike_run": 0.0,
-        "means": list(SYNTH_MEANS), "spreads": list(SYNTH_SPREADS),
-    }
-    argv = [
-        "predict", "--synth-spec", json.dumps(spec),
-        "--runs", "1", "--seed", "10", "--max-fes", "200",
-    ]
-    untraced = predict_stdout(argv)
+def traced_predict(spans, argv):
+    """stdout and per-layer metrics of one ``predict`` with the tracer installed."""
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -55,7 +46,44 @@ def test_traced_predict_prints_the_untraced_report(monkeypatch):
         metrics = tracer.end_call()
     finally:
         tracer.uninstall()
+    return traced, metrics
+
+
+# the reference archive of the benchmark's predict_ref workload
+REFERENCE_SPEC = json.dumps({
+    "seed": 1, "size": 30, "r_swim_bike": 0.73, "r_bike_run": 0.0,
+    "means": list(SYNTH_MEANS), "spreads": list(SYNTH_SPREADS),
+})
+
+
+def test_traced_predict_prints_the_untraced_report(monkeypatch):
+    spans = load_spans(monkeypatch)
+    argv = [
+        "predict", "--synth-spec", REFERENCE_SPEC,
+        "--runs", "1", "--seed", "10", "--max-fes", "200",
+    ]
+    untraced = predict_stdout(argv)
+    traced, metrics = traced_predict(spans, argv)
     assert traced == untraced
     assert metrics["pso.evals"] == 200
     assert metrics["timekit.format_calls"] > 0
     assert tripace.cli.main.__module__ == "tripace.cli"  # the original is back
+
+
+def test_reference_predict_counters(monkeypatch):
+    """The traced counters of the benchmark's predict_ref call at seed 10.
+
+    They follow from the swarm's path alone, so any change to the fitness
+    or the generation loop that moves one evaluation shows here.
+    """
+    spans = load_spans(monkeypatch)
+    argv = [
+        "predict", "--synth-spec", REFERENCE_SPEC, "--runs", "5", "--seed", "10",
+        "--np", "50", "--max-fes", "10000", "--kmax", "300",
+    ]
+    _, metrics = traced_predict(spans, argv)
+    assert metrics["pso.evals"] == 50_000
+    assert metrics["pso.first_feasible_eval"] == 17.0
+    assert metrics["preference.feasible_eval_share"] == 8_137 / 50_000  # 0.16274
+    assert metrics["preference.ceiling_reject_share"] == 21_899 / 50_000  # 0.43798
+    assert metrics["pso.last_improvement_gen"] == 153.2

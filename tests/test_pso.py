@@ -1,12 +1,13 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_step, reference_run
+from helpers import _Particle, _reference_step, oracle_step, reference_run
 from tripace.pso import PsoConfig, move, run
 
 TABLE_BOUNDS = ((25.0, 2.0, 140.0, 2.0, 85.0), (50.0, 5.0, 180.0, 5.0, 120.0))
@@ -64,6 +65,12 @@ class TestConfigValidation:
         bound[1] = value
         with pytest.raises(ValueError, match=f"bounds must be finite numbers, got {field}="):
             make_config(**{field: tuple(bound)})
+
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    @pytest.mark.parametrize("value", [None, 5.0, object()], ids=["None", "5.0", "object"])
+    def test_bounds_must_be_sequences(self, field, value):
+        with pytest.raises(ValueError, match=f"bounds must be finite numbers, got {field}="):
+            make_config(**{field: value})
 
     @pytest.mark.parametrize("factor", ["c1", "c2"])
     @pytest.mark.parametrize("value", [*NOT_FINITE_NUMBERS, False, None])
@@ -140,6 +147,62 @@ class TestInitSwarm:
         _, seen = record_run(cfg)
         for position in seen:
             assert all(1.0 - eps <= v <= 1.0 for v in position)
+
+
+@st.composite
+def move_states(draw):
+    """Inputs of one ``move`` call, plus where each component should land.
+
+    Per component the landing is inside the box, exactly on a bound or
+    beyond one, and the velocity is solved for it.  Every value is a
+    multiple of 1/8 below 2**8; when ``exact`` is drawn, each ``c * u`` is
+    a multiple of 1/8 as well, so all of ``move``'s arithmetic is exact and
+    ``x + v'`` is the landing itself.  Otherwise ``c`` and ``u`` are any
+    floats and ``x + v'`` only lands near it.
+    """
+    m, d = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+
+    def eighths(low, high):
+        return draw(st.integers(low, high)) / 8
+
+    lower = [eighths(-400, 0) for _ in range(d)]
+    upper = [lo + eighths(1, 400) for lo in lower]
+
+    def inside(j):
+        return lower[j] + eighths(0, int((upper[j] - lower[j]) * 8))
+
+    def point():
+        return [inside(j) for j in range(d)]
+
+    def landing(j):
+        where = draw(st.sampled_from(["inside", "on lower", "on upper", "below", "above"]))
+        if where == "inside":
+            return inside(j)
+        if where == "below":
+            return lower[j] - eighths(1, 400)
+        if where == "above":
+            return upper[j] + eighths(1, 400)
+        return lower[j] if where == "on lower" else upper[j]
+
+    exact = draw(st.booleans())
+    if exact:
+        factors = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+        uniforms = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+    else:
+        factors, uniforms = st.floats(0.0, 3.0), st.floats(0.0, 1.0, exclude_max=True)
+    c1, c2 = draw(factors), draw(factors)
+    g = point()
+    x = [point() for _ in range(m)]
+    p = [point() for _ in range(m)]
+    u1 = [draw(uniforms) for _ in range(m)]
+    u2 = [draw(uniforms) for _ in range(m)]
+    targets = [[landing(j) for j in range(d)] for _ in range(m)]
+    v = [
+        [t - xj - (c1 * a) * (pj - xj) - (c2 * b) * (gj - xj) for t, xj, pj, gj in zip(*row, g)]
+        for *row, a, b in zip(targets, x, p, u1, u2)
+    ]
+    x, v, p, g, u1, u2, lower, upper = map(np.array, (x, v, p, g, u1, u2, lower, upper))
+    return (x, v, p, g, c1, c2, u1, u2, lower, upper), np.array(targets), exact
 
 
 def move_with(x, v, pbest, gbest, cfg, u1=0.3, u2=0.7):
@@ -247,6 +310,23 @@ class TestStepParticle:
             assert np.array_equal(velocities[i], row_velocity[0])
         assert all(np.array_equal(a, b) for a, b in zip(inputs, saved))
         assert ((positions == lower) | (positions == upper)).any()
+
+    @given(state=move_states())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_step(self, state):
+        """Each row of ``move`` is bit for bit the reference engine's step,
+        whether ``x + v'`` lands inside the box, on a bound or beyond one."""
+        inputs, targets, exact = state
+        x, v, p, g, c1, c2, u1, u2, lower, upper = inputs
+        positions, velocities = move(*inputs)
+        for i in range(len(x)):
+            particle = _Particle(x[i], v[i], p[i], math.inf)
+            draws = SimpleNamespace(random=iter((u1[i], u2[i])).__next__)
+            step = _reference_step(particle, g, c1, c2, lower, upper, draws)
+            assert np.array_equal(positions[i], step.position)
+            assert np.array_equal(velocities[i], step.velocity)
+        if exact:
+            assert np.array_equal(positions, np.minimum(np.maximum(targets, lower), upper))
 
 
 def run_both(cfg, fitness, reference_fitness=None):

@@ -7,7 +7,7 @@ from conftest import TABLE1_BIKE, TABLE1_RUN, TABLE1_SWIM
 from helpers import oracle_pearson
 from tripace.stats import (
     CorrelationUndefinedError,
-    appended_pearson,
+    appended_correlation_sum,
     archive_correlation,
     pearson,
 )
@@ -55,45 +55,69 @@ class TestPearsonReference:
 
 
 class TestAppendedPearson:
+    """``appended_correlation_sum``: the swim-bike plus bike-run correlation
+    of three columns with one row appended."""
+
     def test_reference_values(self):
-        for x, y in ((TABLE1_SWIM, TABLE1_BIKE), (TABLE1_BIKE, TABLE1_RUN)):
-            appended = appended_pearson(x[:-1], y[:-1])(x[-1], y[-1])
-            assert appended == pytest.approx(pearson(x, y), abs=1e-14)
+        correlation_sum = appended_correlation_sum(
+            TABLE1_SWIM[:-1], TABLE1_BIKE[:-1], TABLE1_RUN[:-1]
+        )
+        expected = pearson(TABLE1_SWIM, TABLE1_BIKE) + pearson(TABLE1_BIKE, TABLE1_RUN)
+        appended = correlation_sum(TABLE1_SWIM[-1], TABLE1_BIKE[-1], TABLE1_RUN[-1])
+        assert appended == pytest.approx(expected, abs=1e-14)
 
     def test_base_unchanged_across_calls(self):
-        correlation = appended_pearson(TABLE1_SWIM, TABLE1_BIKE)
-        first = correlation(30.0, 120.0)
-        correlation(20.0, 90.0)
-        assert correlation(30.0, 120.0) == first
+        correlation_sum = appended_correlation_sum(TABLE1_SWIM, TABLE1_BIKE, TABLE1_RUN)
+        first = correlation_sum(30.0, 120.0, 85.0)
+        correlation_sum(20.0, 90.0, 95.0)
+        assert correlation_sum(30.0, 120.0, 85.0) == first
 
     def test_constant_base_with_new_point_is_defined(self):
-        correlation = appended_pearson((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
-        expected = pearson((1.0, 1.0, 1.0, 2.0), (1.0, 2.0, 3.0, 4.0))
-        assert correlation(2.0, 4.0) == pytest.approx(expected, abs=1e-14)
+        correlation_sum = appended_correlation_sum(
+            (1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (3.0, 1.0, 2.0)
+        )
+        bike = (1.0, 2.0, 3.0, 4.0)
+        expected = pearson((1.0, 1.0, 1.0, 2.0), bike) + pearson(bike, (3.0, 1.0, 2.0, 5.0))
+        assert correlation_sum(2.0, 4.0, 5.0) == pytest.approx(expected, abs=1e-14)
 
     def test_zero_variance(self):
-        correlation = appended_pearson((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
-        with pytest.raises(CorrelationUndefinedError, match="zero variance in x"):
-            correlation(1.0, 4.0)
+        varied, constant = (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)
+        for column in range(3):
+            columns = [varied] * 3
+            columns[column] = constant
+            row = [4.0] * 3
+            row[column] = 1.0
+            name = ("swim", "bike", "run")[column]
+            with pytest.raises(CorrelationUndefinedError, match=f"zero variance in {name}"):
+                appended_correlation_sum(*columns)(*row)
 
     @pytest.mark.parametrize("constant", [0.1, 1 / 3, 167.13])
     def test_constant_extended_sample_raises(self, constant):
-        correlation = appended_pearson([constant] * 30, [float(i) for i in range(30)])
-        with pytest.raises(CorrelationUndefinedError, match="zero variance in x"):
-            correlation(constant, 5.0)
+        varied = [float(i) for i in range(30)]
+        correlation_sum = appended_correlation_sum([constant] * 30, varied, varied[::-1])
+        with pytest.raises(CorrelationUndefinedError, match="zero variance in swim"):
+            correlation_sum(constant, 5.0, 7.0)
+        correlation_sum = appended_correlation_sum(varied, varied[::-1], [constant] * 30)
+        with pytest.raises(CorrelationUndefinedError, match="zero variance in run"):
+            correlation_sum(5.0, 7.0, constant)
 
     def test_too_short(self):
         with pytest.raises(CorrelationUndefinedError, match="at least 3"):
-            appended_pearson((1.0,), (1.0,))
+            appended_correlation_sum((1.0,), (1.0,), (1.0,))
 
     def test_length_mismatch(self):
-        with pytest.raises(CorrelationUndefinedError, match="length mismatch"):
-            appended_pearson((1.0, 2.0, 3.0), (1.0, 2.0))
+        three, two = (1.0, 2.0, 3.0), (1.0, 2.0)
+        for columns in ((three, two, two), (three, three, two)):
+            with pytest.raises(CorrelationUndefinedError, match="length mismatch"):
+                appended_correlation_sum(*columns)
 
     def test_clamped_to_unit_interval(self):
-        x = np.linspace(0.1, 117.3, 50)
-        r = appended_pearson(x, 2.0 * x + 3.0)(118.0, 239.0)
-        assert 1.0 - 1e-12 <= r <= 1.0
+        # both pairs overshoot 1.0 by a few ulps before the clamp
+        swim = np.linspace(0.1, 117.3, 17)
+        bike = 3.0 * swim + 3.0
+        run = 1.3 * bike + 1.0
+        s = appended_correlation_sum(swim, bike, run)(118.0, 357.0, 1.3 * 357.0 + 1.0)
+        assert 2.0 - 2e-12 <= s <= 2.0
 
 
 class TestArchiveCorrelation:
@@ -203,18 +227,26 @@ standard = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 @given(
     n=st.integers(min_value=2, max_value=150),
     data=st.data(),
-    scales=st.tuples(st.floats(0.5, 100.0), st.floats(0.5, 100.0)),
-    ratios=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
-    rho=st.floats(min_value=-1.0, max_value=1.0),
-    new=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    scales=st.tuples(st.floats(0.5, 100.0), st.floats(0.5, 100.0), st.floats(0.5, 100.0)),
+    ratios=st.tuples(
+        st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)
+    ),
+    rhos=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    new=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
 )
 @settings(max_examples=300, deadline=None)
-def test_appended_matches_pearson_on_appended_arrays(n, data, scales, ratios, rho, new):
-    zx = data.draw(st.lists(standard, min_size=n, max_size=n))
-    noise = data.draw(st.lists(standard, min_size=n, max_size=n))
-    zy = [rho * a + (1.0 - abs(rho)) * b for a, b in zip(zx, noise)]
-    assume(np.std(zx) >= 0.5 and np.std(zy) >= 0.5)
-    *x, x_new = _column(scales[0], ratios[0], zx + [new[0]])
-    *y, y_new = _column(scales[1], ratios[1], zy + [new[1]])
-    closed = appended_pearson(x, y)(x_new, y_new)
-    assert closed == pytest.approx(pearson(x + [x_new], y + [y_new]), abs=1e-12)
+def test_appended_matches_pearson_on_appended_arrays(n, data, scales, ratios, rhos, new):
+    def standard_list():
+        return data.draw(st.lists(standard, min_size=n, max_size=n))
+
+    # swim and run each correlate with bike through their own rho
+    zb = standard_list()
+    zs, zr = ([rho * a + (1.0 - abs(rho)) * b for a, b in zip(zb, standard_list())] for rho in rhos)
+    assume(all(np.std(z) >= 0.5 for z in (zs, zb, zr)))
+    *swim, s_new = _column(scales[0], ratios[0], zs + [new[0]])
+    *bike, b_new = _column(scales[1], ratios[1], zb + [new[1]])
+    *run, r_new = _column(scales[2], ratios[2], zr + [new[2]])
+    closed = appended_correlation_sum(swim, bike, run)(s_new, b_new, r_new)
+    bike.append(b_new)
+    expected = pearson(swim + [s_new], bike) + pearson(bike, run + [r_new])
+    assert closed == pytest.approx(expected, abs=1e-12)
