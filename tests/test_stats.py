@@ -101,6 +101,13 @@ class TestAppendedPearson:
         with pytest.raises(CorrelationUndefinedError, match="zero variance in run"):
             correlation_sum(5.0, 7.0, constant)
 
+    def test_underflowing_variances_raise(self):
+        # both extended variances are positive, but their product is 0.0
+        tiny = (0.0, 1e-100, 2e-100)
+        correlation_sum = appended_correlation_sum(tiny, tiny, (1.0, 2.0, 4.0))
+        with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
+            correlation_sum(3e-100, 5e-100, 3.0)
+
     def test_too_short(self):
         with pytest.raises(CorrelationUndefinedError, match="at least 3"):
             appended_correlation_sum((1.0,), (1.0,), (1.0,))
