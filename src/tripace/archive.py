@@ -115,7 +115,9 @@ class Archive:
         return np.array([r.run for r in self.records])
 
 
-def _record_from_row(row: dict[str, str]) -> ResultRecord:
+def _record_from_row(row: dict[str, str] | ArchiveError) -> ResultRecord:
+    if isinstance(row, ArchiveError):  # a CSV row the csv module could not read
+        raise row
     # a ragged CSV row: _rows_from_csv files surplus fields under the key
     # None and leaves the columns of a short row out
     if None in row:
@@ -136,17 +138,32 @@ def _record_from_row(row: dict[str, str]) -> ResultRecord:
     return ResultRecord(row["name"], row["nation"], row["category"], place, *times)
 
 
-def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
-    """Non-blank rows as they are read, each with the file line it ends on."""
+def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str] | ArchiveError]]:
+    """Non-blank rows as they are read, each with the file line it ends on.
+
+    A row the csv module cannot read, such as one with a field over
+    ``csv.field_size_limit()``, comes as an :class:`ArchiveError`; the reader
+    resumes at the next line.  An unreadable header raises it.
+    """
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ArchiveError(f"{path}: header: {exc}") from exc
         if header is None:
             raise ArchiveError(f"{path}: missing header row")
         _check_columns(header, path)
         width = len(header)
-        for fields in reader:
+        while True:
+            try:
+                fields = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                yield reader.line_num, ArchiveError(str(exc))
+                continue
             if any(f.strip() for f in fields):
                 row = dict(zip(header, fields))
                 if len(fields) > width:
@@ -157,7 +174,10 @@ def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
 def _rows_from_json(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
     """Result objects, each with its 1-based entry number."""
     with path.open(encoding="utf-8-sig") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ArchiveError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(payload, list):
         raise ArchiveError(f"{path}: expected a JSON array of result objects")
     for i, entry in enumerate(payload, start=1):
@@ -189,8 +209,9 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[list[ResultRec
     row that was dropped for violating record sanity checks, naming the row
     by its line in a CSV file (the line it ends on) or its entry number in
     a JSON array.  Raises
-    :class:`ArchiveError` for structural problems: unreadable file, unknown
-    or missing columns, or zero parseable rows.
+    :class:`ArchiveError` for structural problems: unreadable file or
+    header, JSON nested too deeply to parse, unknown or missing columns, or
+    zero parseable rows.
     """
     p = Path(path)
     if format == "auto":

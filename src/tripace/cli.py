@@ -44,6 +44,8 @@ def _parse_json_arg(value: str, what: str) -> dict:
     """Accept inline JSON, or a path to a JSON file."""
     try:
         parsed = json.loads(value)
+    except RecursionError:
+        raise argparse.ArgumentTypeError(f"{what} is not valid JSON: nested too deeply") from None
     except json.JSONDecodeError:
         # not JSON: a path, which may also be too long, a directory or unreadable
         try:
@@ -54,6 +56,10 @@ def _parse_json_arg(value: str, what: str) -> dict:
             parsed = json.loads(text)
         except json.JSONDecodeError as exc:
             raise argparse.ArgumentTypeError(f"{what} file {value!r} is not valid JSON: {exc}")
+        except RecursionError:
+            raise argparse.ArgumentTypeError(
+                f"{what} file {value!r} is not valid JSON: nested too deeply"
+            ) from None
     if not isinstance(parsed, dict):
         raise argparse.ArgumentTypeError(f"{what} must be a JSON object")
     return parsed

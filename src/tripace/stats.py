@@ -19,7 +19,8 @@ if TYPE_CHECKING:
 
 
 class CorrelationUndefinedError(ValueError):
-    """Correlation is undefined: too few points or a constant column."""
+    """Correlation is undefined: too few points, or a product of variances
+    that is 0.0 (a constant column, or two tiny variances that underflow)."""
 
 
 @dataclass(frozen=True)
@@ -34,56 +35,49 @@ class CorrelationPair:
         return self.r_swim_bike + self.r_bike_run
 
 
-def _centred_sums(
-    x: Sequence[float], y: Sequence[float], appended: int = 0
-) -> tuple[float, float, float, float, float]:
-    """Means and centred sums ``(mean_x, mean_y, Sxx, Syy, Sxy)`` of two samples.
+def _centred(
+    samples: Sequence[Sequence[float]], appended: int = 0
+) -> list[tuple[float, np.ndarray]]:
+    """Mean and centred copy ``(mean, sample - mean)`` of each sample.
 
-    Two-pass: the means first, then dot products of the centred samples.  A
-    constant sample is centred on its own value, whose centred sums are then
-    exactly 0.0; its numpy mean can be an ulp off.  Raises
-    :class:`CorrelationUndefinedError` for mismatched lengths, or when the
-    samples plus ``appended`` points to come number fewer than 3.
+    Two-pass: the means first, then the centred copies, whose dot products
+    are the centred sums.  A constant sample is centred on its own value, so
+    its centred sums are exactly 0.0; its numpy mean can be an ulp off.
+    Raises :class:`CorrelationUndefinedError` for samples of unequal length,
+    or when a sample plus ``appended`` points to come number fewer than 3.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
+    arrays = [np.asarray(s, dtype=float) for s in samples]
+    shapes = [a.shape for a in arrays]
+    if len(set(shapes)) != 1 or arrays[0].ndim != 1:
         raise CorrelationUndefinedError(
-            f"correlation undefined: length mismatch ({xs.shape} vs {ys.shape})"
+            f"correlation undefined: length mismatch ({' vs '.join(map(str, shapes))})"
         )
-    if xs.size + appended < 3:
-        raise CorrelationUndefinedError(
-            f"correlation undefined: need at least 3 points, got {xs.size + appended}"
-        )
-    mean_x = _mean(xs)
-    mean_y = _mean(ys)
-    xc = xs - mean_x
-    yc = ys - mean_y
-    return mean_x, mean_y, float(np.dot(xc, xc)), float(np.dot(yc, yc)), float(np.dot(xc, yc))
+    n = arrays[0].size + appended
+    if n < 3:
+        raise CorrelationUndefinedError(f"correlation undefined: need at least 3 points, got {n}")
+    means = [float(a[0]) if a.min() == a.max() else float(a.mean()) for a in arrays]
+    return [(mean, a - mean) for mean, a in zip(means, arrays)]
 
 
-def _mean(sample: np.ndarray) -> float:
-    return float(sample[0]) if sample.min() == sample.max() else float(sample.mean())
-
-
-def _correlation(sxx: float, syy: float, sxy: float) -> float:
-    """``Sxy / sqrt(Sxx * Syy)`` clamped to [-1, 1]; a zero variance raises."""
-    if sxx == 0.0 or syy == 0.0:
-        which = "x" if sxx == 0.0 else "y"
-        raise CorrelationUndefinedError(f"correlation undefined: zero variance in {which}")
-    return min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy)))
+def _finish(sxy: float, sxx: float, syy: float, x: str, y: str) -> float:
+    """``Sxy / sqrt(Sxx * Syy)`` clamped to [-1, 1]; a product of variances
+    that is 0.0 raises the :func:`_zero_variance` error for ``x`` and ``y``."""
+    try:
+        return min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy)))
+    except ZeroDivisionError:
+        raise _zero_variance(**{x: sxx, y: syy}) from None
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson's correlation coefficient of two equal-length samples.
 
-    Two-pass evaluation (means first, then centered products), clamped to
+    Two-pass evaluation (means first, then centred products), clamped to
     [-1, 1] to absorb floating-point overshoot.  Requires at least 3 points
-    and non-constant inputs; anything else raises
+    and a product of variances that is not 0.0; anything else raises
     :class:`CorrelationUndefinedError`.
     """
-    _, _, sxx, syy, sxy = _centred_sums(x, y)
-    return _correlation(sxx, syy, sxy)
+    (_, xc), (_, yc) = _centred((x, y))
+    return _finish(float(np.dot(xc, yc)), float(np.dot(xc, xc)), float(np.dot(yc, yc)), "x", "y")
 
 
 def appended_correlation_sum(
@@ -102,14 +96,15 @@ def appended_correlation_sum(
 
     to the five sums, sharing the bike deviation and ``S'bb`` between the
     two pairs, and finishes each pair as :func:`pearson` does:
-    ``S'xy / sqrt(S'xx * S'yy)`` clamped to [-1, 1].  An extended column of
-    zero variance raises :class:`CorrelationUndefinedError`.  It rounds
+    ``S'xy / sqrt(S'xx * S'yy)`` clamped to [-1, 1], where a product of
+    extended variances that is 0.0 raises as in :func:`_finish`.  It rounds
     differently from :func:`pearson`, within about 1e-15 per pair on samples
     whose spread is not tiny next to their mean.  Construction raises for
     mismatched lengths or fewer than two rows.
     """
-    mean_s, mean_b, sss, sbb, ssb = _centred_sums(swim, bike, appended=1)
-    _, mean_r, _, srr, sbr = _centred_sums(bike, run, appended=1)
+    (mean_s, s), (mean_b, b), (mean_r, r) = _centred((swim, bike, run), appended=1)
+    sss, sbb, srr = float(np.dot(s, s)), float(np.dot(b, b)), float(np.dot(r, r))
+    ssb, sbr = float(np.dot(s, b)), float(np.dot(b, r))
     n = len(swim)
     weight = n / (n + 1)
     sqrt = math.sqrt
@@ -123,7 +118,7 @@ def appended_correlation_sum(
         s_ss = sss + wds * ds
         s_bb = sbb + wdb * db
         s_rr = srr + weight * dr * dr
-        try:
+        try:  # _finish's rule, inline: a product of variances that is 0.0 raises
             swim_bike = (ssb + wds * db) / sqrt(s_ss * s_bb)
             bike_run = (sbr + wdb * dr) / sqrt(s_bb * s_rr)
         except ZeroDivisionError:
@@ -146,18 +141,12 @@ def _zero_variance(**variances: float) -> CorrelationUndefinedError:
 
 
 def archive_correlation(archive: Archive) -> CorrelationPair:
-    """Correlation pair of an archive's swim-bike and bike-run columns."""
-    columns = {
-        "swim": archive.swim_column(),
-        "bike": archive.bike_column(),
-        "run": archive.run_column(),
-    }
-    for name, col in columns.items():
-        if col.size >= 3 and col.max() == col.min():
-            raise CorrelationUndefinedError(
-                f"correlation undefined: column {name!r} is constant"
-            )
+    """Correlation pair of an archive's swim-bike and bike-run columns: each
+    column centred once, each pair finished by :func:`_finish`."""
+    columns = (archive.swim_column(), archive.bike_column(), archive.run_column())
+    (_, s), (_, b), (_, r) = _centred(columns)
+    sbb = float(np.dot(b, b))
     return CorrelationPair(
-        r_swim_bike=pearson(columns["swim"], columns["bike"]),
-        r_bike_run=pearson(columns["bike"], columns["run"]),
+        r_swim_bike=_finish(float(np.dot(s, b)), float(np.dot(s, s)), sbb, "swim", "bike"),
+        r_bike_run=_finish(float(np.dot(b, r)), sbb, float(np.dot(r, r)), "bike", "run"),
     )

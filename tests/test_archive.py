@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -127,6 +128,23 @@ class TestLoadCsv:
         assert len(skipped) == 1
         assert "t1" in skipped[0]
 
+    def test_field_over_the_size_limit_skipped(self, tmp_path):
+        # the csv module refuses the field, then reads on from the next line
+        path = tmp_path / "wide.csv"
+        lines = table1_csv_text().splitlines()
+        lines.insert(3, "Wide," + "x" * (csv.field_size_limit() + 1) + ",PRO-M,6,1,1,1,1,1,5")
+        path.write_text("\n".join(lines) + "\n")
+        records, skipped = load_archive(path)
+        assert len(records) == 5
+        assert len(skipped) == 1
+        assert skipped[0].startswith("wide.csv row 4: field larger than field limit")
+
+    def test_header_field_over_the_size_limit(self, tmp_path):
+        path = tmp_path / "wide_header.csv"
+        path.write_text("x" * (csv.field_size_limit() + 1) + "," + table1_csv_text())
+        with pytest.raises(ArchiveError, match="header: field larger than field limit"):
+            load_archive(path)
+
     def test_unknown_column(self, tmp_path):
         path = tmp_path / "extra.csv"
         path.write_text("name,nation,category,place,swim,t1,bike,t2,run,overall,pace\n")
@@ -201,6 +219,12 @@ class TestLoadJson:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ArchiveError, match="invalid JSON"):
+            load_archive(path)
+
+    def test_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ArchiveError, match="invalid JSON: nested too deeply"):
             load_archive(path)
 
     def test_non_array(self, tmp_path):

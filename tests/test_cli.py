@@ -41,6 +41,25 @@ def high_spec_json() -> str:
     return json.dumps(HIGH_SPEC)
 
 
+# JSON nested far past the interpreter's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def json_arg(tmp_path: Path, form: str) -> str:
+    """``DEEP_JSON`` as an option value: inline, or the path of a file holding it."""
+    if form == "inline":
+        return DEEP_JSON
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    return str(path)
+
+
+def assert_one_error_line(err: str, ending: str) -> None:
+    """argparse's usage, then exactly one ``error:`` line, ending with ``ending``."""
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert err.splitlines()[-1].endswith(ending)
+
+
 class TestRunExperiment:
     def make_config(self, **overrides):
         kwargs = dict(
@@ -209,6 +228,26 @@ class TestCorrelateCommand:
         code = main(["correlate", "--archive", str(path), "--group", "M", "--top-n", "3"])
         assert code == 2
         assert "bike" in capsys.readouterr().err
+
+    def test_underflowing_variances_exit_2(self, tmp_path, capsys):
+        # swim and bike splits near 1e-100 min, written as plain decimals:
+        # both variances are positive, but their product underflows to 0.0
+        rows = ["name,nation,category,place,swim,t1,bike,t2,run,overall"]
+        for i in range(1, 5):
+            swim, bike = f"{i * 1e-100:.120f}", f"{i * i * 1e-100:.120f}"
+            rows.append(f"A{i},-,M,{i},{swim},2.0,{bike},2.0,{80.0 + i},{84.0 + i}")
+        path = tmp_path / "tiny.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["correlate", "--archive", str(path), "--group", "M"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: correlation undefined: variances underflow\n"
+
+    def test_deeply_nested_json_archive_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        code = main(["correlate", "--archive", str(path), "--group", "M"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: invalid JSON: nested too deeply\n"
 
     def test_json_entry_not_an_object_exits_2(self, tmp_path, capsys):
         path = tmp_path / "numbers.json"
@@ -451,6 +490,14 @@ class TestPredictCommand:
         assert captured.err.startswith("error: bounds for 'swim' must be a [low, high] pair")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("form", ["file", "inline"])
+    def test_deeply_nested_bounds_exit_2(self, tmp_path, capsys, form):
+        value = json_arg(tmp_path, form)
+        with pytest.raises(SystemExit) as exc:
+            main(self.predict_args(["--bounds", value]))
+        assert exc.value.code == 2
+        assert_one_error_line(capsys.readouterr().err, "is not valid JSON: nested too deeply")
+
     def test_all_runs_infeasible_exits_3(self, capsys):
         code = main([
             "predict", "--synth-spec", json.dumps(COLLINEAR_SPEC),
@@ -538,6 +585,14 @@ class TestSynthCommand:
         assert main(["synth", "--synth-spec", floats, "--out", str(a)]) == 0
         assert main(["synth", "--synth-spec", high_spec_json(), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("form", ["file", "inline"])
+    def test_deeply_nested_spec_exits_2(self, tmp_path, capsys, form):
+        value = json_arg(tmp_path, form)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--synth-spec", value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert_one_error_line(capsys.readouterr().err, "is not valid JSON: nested too deeply")
 
     @pytest.mark.parametrize(
         "value", ["x" * 300, ".", "nul\x00byte"], ids=["name-too-long", "directory", "nul-byte"]

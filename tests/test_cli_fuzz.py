@@ -13,6 +13,7 @@ so the whole test takes seconds.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import tempfile
@@ -69,9 +70,12 @@ def float_tokens(low, high):
     return mostly(st.floats(low, high).map(repr) | st.integers(low, high).map(str), tokens, odds=10)
 
 
+# JSON nested far past the interpreter's recursion limit.
+deep_json = st.just("[" * 100_000 + "]" * 100_000)
+
 # Free text for an argument that takes inline JSON or a file path, including
-# a path component too long for the file system.
-json_arg_text = st.text(max_size=40) | st.integers(250, 300).map(lambda n: "x" * n)
+# a path component too long for the file system and deeply nested JSON.
+json_arg_text = st.text(max_size=40) | st.integers(250, 300).map(lambda n: "x" * n) | deep_json
 
 SPEC_ENTRIES = {
     "seed": st.integers(0, 2**32),
@@ -119,12 +123,24 @@ long_digits = st.tuples(
     st.just("junk"), st.integers(4, 9), st.sampled_from(["9" * 400 + ":00:00", "9" * 400])
 )
 
+# A cell one character longer than the csv module accepts.
+oversized_cell = st.just("x" * (csv.field_size_limit() + 1))
+
+# The reference rows with swim and bike scaled to about 1e-100 min, written
+# as plain decimals: each variance is positive, but their product is 0.0.
+TINY_ROWS = [
+    (*row[:4], f"{float(row[4]) * 1e-100:.120f}", row[5], f"{float(row[6]) * 1e-100:.120f}",
+     row[7], row[8], f"{float(row[5]) + float(row[7]) + float(row[8]):.2f}")
+    for row in TABLE1_ROWS
+]
+
 
 def _garbled(fields):
     """A CSV row from ``fields`` with some replaced by junk, dropped or added."""
     edits = st.lists(
         st.tuples(st.sampled_from(["junk", "drop", "add"]), st.integers(0, 9), st.text(max_size=8))
-        | long_digits,
+        | long_digits
+        | st.tuples(st.just("junk"), st.integers(0, 9), oversized_cell),
         min_size=1,
         max_size=3,
     )
@@ -146,10 +162,11 @@ def _garbled(fields):
 
 @st.composite
 def csv_texts(draw):
-    """The reference rows, some garbled, with blank and junk lines between."""
-    header = draw(mostly(st.just(",".join(CSV_COLUMNS)), st.text(max_size=40)))
+    """The reference rows, or their tiny-split copies, some garbled, with blank
+    and junk lines between."""
+    header = draw(mostly(st.just(",".join(CSV_COLUMNS)), st.text(max_size=40) | oversized_cell))
     lines = [header]
-    for fields in draw(st.permutations(TABLE1_ROWS)):
+    for fields in draw(st.permutations(draw(mostly(st.just(TABLE1_ROWS), st.just(TINY_ROWS))))):
         lines.append(draw(mostly(st.just(",".join(str(f) for f in fields)), _garbled(fields))))
         extra = draw(rarely(st.sampled_from(["", ",,,,,,,,,"]) | st.text(max_size=30)))
         if extra is not None:
@@ -167,7 +184,8 @@ def json_texts(draw):
         changes = draw(rarely(st.dictionaries(keys, json_values, min_size=1, max_size=2)))
         junk = draw(rarely(json_values))
         entries.append({**entry, **(changes or {})} if junk is None else junk)
-    return draw(mostly(st.just(json.dumps(entries)), json_values.map(json.dumps) | st.text(max_size=40)))
+    malformed = json_values.map(json.dumps) | st.text(max_size=40) | deep_json
+    return draw(mostly(st.just(json.dumps(entries)), malformed))
 
 
 archive_files = st.one_of(

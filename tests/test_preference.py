@@ -234,6 +234,9 @@ class TestPreferenceFitness:
         fake_pair = CorrelationPair(r_swim_bike=0.0, r_bike_run=0.0)
         candidate = SplitVector(swim=30.0, t1=3.0, bike=160.0, t2=3.0, run=95.0)
         assert preference_fitness(candidate, base, cfg, fake_pair) == cfg.infeasible_penalty
+        # the swarm's path: the closure raises, and fitness scores the penalty
+        fitness = _position_fitness(base, cfg, fake_pair)
+        assert fitness(tuple(candidate)) == cfg.infeasible_penalty
 
     def test_feasible_branch_ordering(self, high_corr_archive):
         cfg = ModelConfig()

@@ -39,6 +39,11 @@ class TestPearsonReference:
         with pytest.raises(CorrelationUndefinedError, match="zero variance in y"):
             pearson(varied, [constant] * 30)
 
+    def test_underflowing_variances_raise(self):
+        # both variances are positive, but their product is 0.0
+        with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
+            pearson([0.0, 1e-100, 2e-100], [0.0, 1e-100, 3e-100])
+
     def test_length_mismatch(self):
         with pytest.raises(CorrelationUndefinedError, match="length mismatch"):
             pearson((1.0, 2.0, 3.0), (1.0, 2.0))
@@ -160,7 +165,7 @@ class TestArchiveCorrelation:
             for r in table1_archive.records
         )
         flat = Archive(label="flat", group="PRO-M", records=flat_bike)
-        with pytest.raises(CorrelationUndefinedError, match="bike"):
+        with pytest.raises(CorrelationUndefinedError, match="zero variance in bike"):
             archive_correlation(flat)
 
 
