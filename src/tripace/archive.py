@@ -7,7 +7,8 @@ README; rows that fail basic sanity checks (splits not positive, overall not
 matching the split sum) are skipped and reported rather than aborting the
 load, since public race exports routinely contain DNF/DSQ rows.  The split
 schema, the five disciplines in race order and the vector of their times,
-lives here, below the model that predicts splits.
+lives here, below the model that predicts splits, and so does the synthesis
+spec: its keys are the parameters of :func:`synthesize_archive`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .pso import finite_number, integer_setting
 from .stats import pearson
 from .timekit import DurationParseError, parse_duration
 
@@ -280,13 +282,30 @@ def extend_archive(base: Archive, prediction: SplitVector) -> Archive:
     return Archive(label=base.label, group=base.group, records=base.records + (appended,))
 
 
+def _spec_value(key: str, value: object, kind: str) -> object:
+    """``value`` as ``kind`` (numbers finite, as floats), or raise :class:`ArchiveError`."""
+    if kind == "an integer":
+        try:
+            return integer_setting(key, value)
+        except ValueError:
+            pass
+    elif kind == "a number" and finite_number(value):
+        return float(value)
+    elif kind == "a string" and isinstance(value, str):
+        return value
+    elif kind == "a list of 5 numbers" and isinstance(value, (list, tuple)) and len(value) == 5:
+        if all(map(finite_number, value)):
+            return [float(v) for v in value]
+    raise ArchiveError(f"synthesis spec key {key!r} must be {kind}, got {value!r}")
+
+
 def synthesize_archive(
     seed: int,
     size: int,
-    target_swim_bike_r: float,
-    target_bike_run_r: float,
-    split_means: Sequence[float],
-    split_spreads: Sequence[float],
+    r_swim_bike: float,
+    r_bike_run: float,
+    means: Sequence[float],
+    spreads: Sequence[float],
     *,
     tolerance: float = 0.02,
     max_tries: int = 500,
@@ -295,20 +314,33 @@ def synthesize_archive(
 ) -> Archive:
     """Generate an archive whose column correlations hit the given targets.
 
+    The parameters are the keys of a synthesis spec: ``means`` and
+    ``spreads`` are five numbers each, in the order of :data:`DISCIPLINES`.
     Swim and run columns share a latent component with the bike column, which
     pins their pairwise correlations; draws are retried until both measured
     correlations land within ``tolerance`` of the targets and all splits are
     positive.  Deterministic in ``seed``.
+
+    An argument of the wrong type (numbers must be finite, integers may be
+    integral floats but not bools), a size below 5, a target outside [-1, 1]
+    or a spread that is not positive raises :class:`ArchiveError`; draws that
+    miss the targets ``max_tries`` times raise :class:`SynthesisError`.
     """
+    seed = _spec_value("seed", seed, "an integer")
+    size = _spec_value("size", size, "an integer")
+    r_swim_bike = _spec_value("r_swim_bike", r_swim_bike, "a number")
+    r_bike_run = _spec_value("r_bike_run", r_bike_run, "a number")
+    means = _spec_value("means", means, "a list of 5 numbers")
+    spreads = _spec_value("spreads", spreads, "a list of 5 numbers")
+    tolerance = _spec_value("tolerance", tolerance, "a number")
+    max_tries = _spec_value("max_tries", max_tries, "an integer")
+    label = _spec_value("label", label, "a string")
+    group = _spec_value("group", group, "a string")
     if size < 5:
         raise ArchiveError(f"synthetic archive size must be at least 5, got {size}")
-    for name, target in (("swim-bike", target_swim_bike_r), ("bike-run", target_bike_run_r)):
+    for name, target in (("swim-bike", r_swim_bike), ("bike-run", r_bike_run)):
         if not -1.0 <= target <= 1.0:
             raise ArchiveError(f"{name} correlation target {target} outside [-1, 1]")
-    means = [float(v) for v in split_means]
-    spreads = [float(v) for v in split_spreads]
-    if len(means) != 5 or len(spreads) != 5:
-        raise ArchiveError("split_means and split_spreads must each have 5 entries")
     if any(s <= 0.0 for s in spreads):
         raise ArchiveError("split spreads must be positive")
 
@@ -316,12 +348,8 @@ def synthesize_archive(
     achieved = (float("nan"), float("nan"))
     for _ in range(max_tries):
         latent = rng.standard_normal(size)
-        z_swim = target_swim_bike_r * latent + np.sqrt(
-            1.0 - target_swim_bike_r**2
-        ) * rng.standard_normal(size)
-        z_run = target_bike_run_r * latent + np.sqrt(
-            1.0 - target_bike_run_r**2
-        ) * rng.standard_normal(size)
+        z_swim = r_swim_bike * latent + np.sqrt(1.0 - r_swim_bike**2) * rng.standard_normal(size)
+        z_run = r_bike_run * latent + np.sqrt(1.0 - r_bike_run**2) * rng.standard_normal(size)
         swim = means[0] + spreads[0] * z_swim
         t1 = means[1] + spreads[1] * rng.standard_normal(size)
         bike = means[2] + spreads[2] * latent
@@ -331,8 +359,8 @@ def synthesize_archive(
             continue
         achieved = (pearson(swim, bike), pearson(bike, run))
         if (
-            abs(achieved[0] - target_swim_bike_r) <= tolerance
-            and abs(achieved[1] - target_bike_run_r) <= tolerance
+            abs(achieved[0] - r_swim_bike) <= tolerance
+            and abs(achieved[1] - r_bike_run) <= tolerance
         ):
             totals = swim + t1 + bike + t2 + run
             order = np.argsort(totals, kind="stable")
@@ -344,7 +372,7 @@ def synthesize_archive(
             )
             return Archive(label=label, group=group, records=records)
     raise SynthesisError(
-        f"could not reach correlations ({target_swim_bike_r}, {target_bike_run_r}) "
+        f"could not reach correlations ({r_swim_bike}, {r_bike_run}) "
         f"within +/-{tolerance} after {max_tries} tries; "
         f"last achieved ({achieved[0]:.4f}, {achieved[1]:.4f})"
     )

@@ -3,12 +3,16 @@ appended-row sum.
 
 The fitness machinery watches two column pairs of a result archive: the
 swim-bike correlation and the bike-run correlation.  Transition times never
-enter these; only the three sport disciplines do.
+enter these; only the three sport disciplines do.  A coefficient is finished
+only from variances, and a product of variances, that are normal, finite
+floats, so scaling the samples by a power of two either leaves it unchanged
+or raises :class:`CorrelationUndefinedError`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -17,10 +21,12 @@ import numpy as np
 if TYPE_CHECKING:
     from .archive import Archive
 
+_NORMAL = sys.float_info.min  # the smallest normal float
+
 
 class CorrelationUndefinedError(ValueError):
-    """Correlation is undefined: too few points, or a product of variances
-    that is 0.0 (a constant column, or two tiny variances that underflow)."""
+    """Correlation is undefined: too few points, a constant column, or
+    variances too small or too large for a float to carry them."""
 
 
 @dataclass(frozen=True)
@@ -60,26 +66,40 @@ def _centred(
 
 
 def _finish(sxy: float, sxx: float, syy: float, x: str, y: str) -> float:
-    """``Sxy / sqrt(Sxx * Syy)`` clamped to [-1, 1]; a product of variances
-    that is 0.0 raises the :func:`_zero_variance` error for ``x`` and ``y``."""
-    try:
-        return min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy)))
-    except ZeroDivisionError:
-        raise _zero_variance(**{x: sxx, y: syy}) from None
+    """``Sxy / sqrt(Sxx * Syy)`` clamped to [-1, 1].
+
+    ``Sxx``, ``Syy`` and their product must be normal, finite floats.  A zero
+    variance or one below ``sys.float_info.min`` raises the
+    :func:`_zero_variance` error for ``x`` and ``y``; an infinite or NaN one
+    raises "variances overflow".
+    """
+    product = sxx * syy
+    if sxx < _NORMAL or syy < _NORMAL or product < _NORMAL:
+        raise _zero_variance(**{x: sxx, y: syy})
+    if not product < math.inf:  # an infinity, or a NaN from one
+        raise CorrelationUndefinedError("correlation undefined: variances overflow")
+    return min(1.0, max(-1.0, sxy / math.sqrt(product)))
 
 
+# numpy's overflow warnings stay off stderr: _finish reports the overflow
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson's correlation coefficient of two equal-length samples.
 
     Two-pass evaluation (means first, then centred products), clamped to
-    [-1, 1] to absorb floating-point overshoot.  Requires at least 3 points
-    and a product of variances that is not 0.0; anything else raises
+    [-1, 1] to absorb floating-point overshoot.  Requires at least 3 points,
+    and variances and a product of variances that are normal, finite floats
+    (see :func:`_finish`); anything else raises
     :class:`CorrelationUndefinedError`.
     """
     (_, xc), (_, yc) = _centred((x, y))
     return _finish(float(np.dot(xc, yc)), float(np.dot(xc, xc)), float(np.dot(yc, yc)), "x", "y")
 
 
+@_QUIET
 def appended_correlation_sum(
     swim: Sequence[float], bike: Sequence[float], run: Sequence[float]
 ) -> Callable[[float, float, float], float]:
@@ -97,7 +117,10 @@ def appended_correlation_sum(
     to the five sums, sharing the bike deviation and ``S'bb`` between the
     two pairs, and finishes each pair as :func:`pearson` does:
     ``S'xy / sqrt(S'xx * S'yy)`` clamped to [-1, 1], where a product of
-    extended variances that is 0.0 raises as in :func:`_finish`.  It rounds
+    extended variances that is 0.0 raises the :func:`_zero_variance` error.
+    Unlike :func:`_finish` it does not test for variances out of the normal
+    range, so a caller checks the given columns and the row it keeps with
+    :func:`archive_correlation`, as ``predict`` does.  It rounds
     differently from :func:`pearson`, within about 1e-15 per pair on samples
     whose spread is not tiny next to their mean.  Construction raises for
     mismatched lengths or fewer than two rows.
@@ -118,7 +141,7 @@ def appended_correlation_sum(
         s_ss = sss + wds * ds
         s_bb = sbb + wdb * db
         s_rr = srr + weight * dr * dr
-        try:  # _finish's rule, inline: a product of variances that is 0.0 raises
+        try:  # the zero-product part of _finish's rule, inline
             swim_bike = (ssb + wds * db) / sqrt(s_ss * s_bb)
             bike_run = (sbr + wdb * dr) / sqrt(s_bb * s_rr)
         except ZeroDivisionError:
@@ -133,13 +156,14 @@ def appended_correlation_sum(
 
 
 def _zero_variance(**variances: float) -> CorrelationUndefinedError:
-    """The error for a product of centred sums that is 0.0: a zero variance,
-    or two variances so small that their product underflows."""
+    """The error for variances, or a product of them, below the smallest
+    normal float: a zero variance, else variances that underflow."""
     zero = [name for name, s in variances.items() if s == 0.0]
     what = f"zero variance in {zero[0]}" if zero else "variances underflow"
     return CorrelationUndefinedError(f"correlation undefined: {what}")
 
 
+@_QUIET
 def archive_correlation(archive: Archive) -> CorrelationPair:
     """Correlation pair of an archive's swim-bike and bike-run columns: each
     column centred once, each pair finished by :func:`_finish`."""

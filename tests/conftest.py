@@ -55,10 +55,10 @@ def high_corr_archive():
     return synthesize_archive(
         seed=1,
         size=30,
-        target_swim_bike_r=0.73,
-        target_bike_run_r=0.0,
-        split_means=SYNTH_MEANS,
-        split_spreads=SYNTH_SPREADS,
+        r_swim_bike=0.73,
+        r_bike_run=0.0,
+        means=SYNTH_MEANS,
+        spreads=SYNTH_SPREADS,
         label="high-corr",
         group="M25-29",
     )
@@ -69,10 +69,10 @@ def low_corr_archive():
     return synthesize_archive(
         seed=1,
         size=30,
-        target_swim_bike_r=0.18,
-        target_bike_run_r=0.03,
-        split_means=SYNTH_MEANS,
-        split_spreads=SYNTH_SPREADS,
+        r_swim_bike=0.18,
+        r_bike_run=0.03,
+        means=SYNTH_MEANS,
+        spreads=SYNTH_SPREADS,
         label="low-corr",
         group="M25-29",
     )

@@ -384,6 +384,30 @@ class TestSynthesize:
                 1, 30, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS, tolerance=1e-9, max_tries=3
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", None),
+            ("seed", True),
+            ("size", 30.5),
+            ("means", [str(v) for v in SYNTH_MEANS]),
+            ("means", SYNTH_MEANS[:4]),
+            ("tolerance", float("nan")),
+        ],
+    )
+    def test_mistyped_argument_names_its_key(self, key, value):
+        arguments = dict(
+            seed=1, size=30, r_swim_bike=0.73, r_bike_run=0.0,
+            means=SYNTH_MEANS, spreads=SYNTH_SPREADS,
+        )
+        arguments[key] = value
+        with pytest.raises(ArchiveError, match=f"^synthesis spec key {key!r} must be "):
+            synthesize_archive(**arguments)
+
+    def test_integral_float_seed_is_that_seed(self):
+        a = synthesize_archive(1.0, 30.0, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS)
+        assert a == synthesize_archive(1, 30, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS)
+
     def test_impossible_positivity(self):
         with pytest.raises(SynthesisError):
             synthesize_archive(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SYNTH_MEANS, SYNTH_SPREADS, table1_csv_text
+from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
 from tripace.cli import main
 from tripace.experiment import (
     ExperimentConfig,
@@ -52,6 +52,21 @@ def json_arg(tmp_path: Path, form: str) -> str:
     path = tmp_path / "deep.json"
     path.write_text(DEEP_JSON)
     return str(path)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``tripace`` in a separate interpreter, so stderr holds all it prints.
+
+    In-process pytest captures logging records and warnings, and would hide
+    a line printed through either.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tripace.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def assert_one_error_line(err: str, ending: str) -> None:
@@ -291,23 +306,27 @@ class TestCorrelateCommand:
         assert "huge.csv row 8: column 'run'" in captured.err
 
     def test_skipped_row_reported_once(self, tmp_path):
-        # a separate interpreter, because in-process pytest captures logging
-        # records and would hide a second copy printed through logging
         path = tmp_path / "dnf.csv"
         path.write_text(
             table1_csv_text() + "DNF Guy,SLO,PRO-M,6,24.00,--:--,100.00,2.00,80.00,206.00\n"
         )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "tripace.cli", "correlate", "--archive", str(path),
-             "--group", "PRO-M", "--top-n", "5"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = run_cli("correlate", "--archive", str(path), "--group", "PRO-M", "--top-n", "5")
         assert done.returncode == 0
         assert done.stderr.startswith("skipped 1 row(s) while loading:\n")
         assert done.stderr.count("dnf.csv row 7:") == 1
+
+    def test_overflowing_variances_exit_2(self, tmp_path):
+        # Table 1 with its bike splits scaled to about 1e162 min, written as
+        # plain decimals: the bike variance overflows to infinity
+        rows = ["name,nation,category,place,swim,t1,bike,t2,run,overall"]
+        for name, nation, group, place, swim, t1, bike, t2, run, _ in TABLE1_ROWS:
+            huge = f"{float(bike) * 1e160:f}"
+            rows.append(f"{name},{nation},{group},{place},{swim},{t1},{huge},{t2},{run},{huge}")
+        path = tmp_path / "huge-bike.csv"
+        path.write_text("\n".join(rows) + "\n")
+        done = run_cli("correlate", "--archive", str(path), "--group", "PRO-M")
+        assert done.returncode == 2
+        assert done.stderr == "error: correlation undefined: variances overflow\n"
 
     def test_top_n_below_minimum_rejected_before_synthesis(self, capsys, monkeypatch):
         def no_synthesis(*args, **kwargs):
@@ -395,6 +414,16 @@ class TestPredictCommand:
         doc = json.loads(capsys.readouterr().out)
         for entry in doc["runs"]:
             assert 30.0 <= entry["splits_min"]["swim"] <= 36.0
+
+    def test_mean_row_that_breaks_the_model_is_noted(self, capsys):
+        spec = json.dumps(dict(HIGH_SPEC, r_swim_bike=0.18, r_bike_run=0.03))
+        assert main(["predict", "--synth-spec", spec, "--seed", "80"]) == 0
+        note = "Mean row infeasible: correlation sum 0.237962 -> 0.234311\n"
+        assert capsys.readouterr().err == note
+
+    def test_reference_mean_row_is_not_noted(self, capsys):
+        assert main(["predict", "--synth-spec", high_spec_json(), "--seed", "10"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_archive_exits_2(self, capsys):
         code = main(["predict", "--archive", "/nonexistent.csv", "--group", "M"])
@@ -569,6 +598,9 @@ class TestSynthCommand:
             ("r_swim_bike", True),
             ("tolerance", "0.5"),
             ("means", [str(v) for v in SYNTH_MEANS]),
+            ("tolerance", float("nan")),
+            ("means", [float("inf")] + list(SYNTH_MEANS[1:])),
+            ("means", list(SYNTH_MEANS[:4])),
         ],
     )
     def test_mistyped_spec_entry_exits_2(self, tmp_path, capsys, key, value):

@@ -305,10 +305,10 @@ def field_archive():
     return synthesize_archive(
         seed=7,
         size=1_000,
-        target_swim_bike_r=0.6,
-        target_bike_run_r=0.2,
-        split_means=SYNTH_MEANS,
-        split_spreads=SYNTH_SPREADS,
+        r_swim_bike=0.6,
+        r_bike_run=0.2,
+        means=SYNTH_MEANS,
+        spreads=SYNTH_SPREADS,
         label="field",
         group="M25-29",
     )
@@ -390,10 +390,10 @@ class TestPredict:
         collinear = synthesize_archive(
             seed=3,
             size=30,
-            target_swim_bike_r=1.0,
-            target_bike_run_r=1.0,
-            split_means=(34.0, 3.5, 167.0, 3.5, 92.0),
-            split_spreads=(2.0, 0.7, 4.0, 0.7, 5.0),
+            r_swim_bike=1.0,
+            r_bike_run=1.0,
+            means=(34.0, 3.5, 167.0, 3.5, 92.0),
+            spreads=(2.0, 0.7, 4.0, 0.7, 5.0),
         )
         with pytest.raises(NoFeasibleSolutionError, match="no feasible plan"):
             predict(collinear, ModelConfig(), make_pso(seed=1, max_evaluations=2_000))

@@ -44,6 +44,20 @@ class TestPearsonReference:
         with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
             pearson([0.0, 1e-100, 2e-100], [0.0, 1e-100, 3e-100])
 
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_overflowing_variances_raise(self, scale):
+        swim = [v * scale for v in TABLE1_SWIM]
+        bike = [v * scale for v in TABLE1_BIKE]
+        with pytest.raises(CorrelationUndefinedError, match="variances overflow"):
+            pearson(swim, bike)
+
+    def test_subnormal_variance_raises(self):
+        # the product of the variances is normal, but the swim variance is not
+        swim = [v * 2.0**-530 for v in TABLE1_SWIM]
+        bike = [v * 2.0**500 for v in TABLE1_BIKE]
+        with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
+            pearson(swim, bike)
+
     def test_length_mismatch(self):
         with pytest.raises(CorrelationUndefinedError, match="length mismatch"):
             pearson((1.0, 2.0, 3.0), (1.0, 2.0))
@@ -223,6 +237,22 @@ def test_affine_invariance(pair, a, b, negate):
     scaled = [a * v + b for v in x]
     sign = 1.0 if a > 0 else -1.0
     assert pearson(scaled, y) == pytest.approx(sign * pearson(x, y), abs=1e-12)
+
+
+@given(pair=vectors, exponent=st.integers(min_value=-600, max_value=600))
+@settings(max_examples=300, deadline=None)
+def test_power_of_two_scaling_is_exact_or_raises(pair, exponent):
+    x, y = pair
+    try:
+        unscaled = pearson(x, y)
+    except CorrelationUndefinedError:
+        return
+    scale = 2.0**exponent
+    try:
+        scaled = pearson([v * scale for v in x], [v * scale for v in y])
+    except CorrelationUndefinedError:
+        return
+    assert scaled == unscaled
 
 
 # Samples shaped like split columns: a centre at most 100 spreads from zero
