@@ -1,11 +1,17 @@
 """The split schema and result archives: loading, group selection, extension, synthesis.
 
-An archive is the ordered list of finisher rows for one race and one
-category, and is the reference population against which a candidate split
-assignment is judged.  Loading accepts the CSV/JSON exports described in the
-README; rows that fail basic sanity checks (splits not positive, overall not
-matching the split sum) are skipped and reported rather than aborting the
-load, since public race exports routinely contain DNF/DSQ rows.  The split
+An archive is the ordered finisher rows of one race and one category, and
+is the reference population against which a candidate split assignment is
+judged.  It is stored by column: the six times of every row sit in one
+read-only (6, n) float64 array, one C-contiguous row per time column, so the
+correlation code reads a column without a copy, the synthetic generator
+builds an archive from its draws with a few numpy calls, and extending an
+archive appends one column.  Its rules are checked once per archive, on
+whole columns.  Loading accepts the CSV/JSON exports described in the
+README and yields one :class:`ResultRecord` per row; rows that fail basic
+sanity checks (splits not positive, overall not matching the split sum) are
+skipped and reported rather than aborting the load, since public race
+exports routinely contain DNF/DSQ rows.  The split
 schema, the five disciplines in race order and the vector of their times,
 lives here, below the model that predicts splits, and so does the synthesis
 spec: its keys are the parameters of :func:`synthesize_archive`.
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -27,13 +33,20 @@ from .timekit import DurationParseError, parse_duration
 
 DISCIPLINES = ("swim", "t1", "bike", "t2", "run")
 
-CSV_COLUMNS = ("name", "nation", "category", "place", *DISCIPLINES, "overall")
+# the time columns of a result row, in the order of an archive's rows of times
+TIME_COLUMNS = (*DISCIPLINES, "overall")
+
+CSV_COLUMNS = ("name", "nation", "category", "place", *TIME_COLUMNS)
 
 # Slack allowed between a row's overall time and the sum of its five splits,
 # in minutes; covers per-split rounding in source data.
 OVERALL_SLACK = 0.05
 
 MIN_ARCHIVE_SIZE = 3
+
+# Largest finish place: an archive keeps places as int64, and this leaves
+# room to append rows.
+MAX_PLACE = 2**62
 
 
 class ArchiveError(ValueError):
@@ -75,6 +88,10 @@ class ResultRecord:
     def __post_init__(self) -> None:
         if self.finish_place < 1:
             raise ArchiveError(f"finish place must be positive, got {self.finish_place}")
+        if self.finish_place > MAX_PLACE:
+            raise ArchiveError(
+                f"finish place must be at most {MAX_PLACE}, got {self.finish_place}"
+            )
         for name in DISCIPLINES:
             if not getattr(self, name) > 0.0:
                 raise ArchiveError(f"split {name!r} must be strictly positive")
@@ -89,32 +106,105 @@ class ResultRecord:
         return self.swim + self.t1 + self.bike + self.t2 + self.run
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Archive:
-    """Finisher rows of one race and group, ordered by finish place."""
+    """Finisher rows of one race and group, ordered by finish place, by column.
+
+    ``places`` is an int64 array and ``names`` and ``nations`` are tuples, one
+    entry per row.  ``times`` is a (6, n) float64 array with one row per
+    column of :data:`TIME_COLUMNS`; each of its rows is C-contiguous, so a
+    column is read without a copy.  Both arrays are read-only.  The
+    constructor keeps an array given as a C-contiguous array of the right
+    type, and makes it read-only in place; anything else it copies into one.
+    Every rule of :class:`ResultRecord` holds for every row, and places
+    strictly increase.  Two archives compare equal only when they are the
+    same object.
+    """
 
     label: str
     group: str
-    records: tuple[ResultRecord, ...] = field(default_factory=tuple)
+    places: np.ndarray
+    names: tuple[str, ...]
+    nations: tuple[str, ...]
+    times: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.records:
+        places = _read_only(self.places, np.int64)
+        times = _read_only(self.times, np.float64)
+        object.__setattr__(self, "places", places)
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "nations", tuple(self.nations))
+        object.__setattr__(self, "times", times)
+        n = len(self.names)
+        if places.shape != (n,) or len(self.nations) != n or times.shape != (6, n):
+            raise ArchiveError(
+                f"columns of unequal length: {n} names, {len(self.nations)} nations, "
+                f"places of shape {places.shape}, times of shape {times.shape}"
+            )
+        if not n:
             raise ArchiveError("archive must contain at least one record")
-        places = [r.finish_place for r in self.records]
-        if any(b <= a for a, b in zip(places, places[1:])):
+        if places.min() < 1:
+            raise ArchiveError(f"finish place must be positive, got {places.min()}")
+        splits_positive = times[:5] > 0.0  # so a NaN split fails
+        for name, positive in zip(DISCIPLINES, splits_positive):
+            if not positive.all():
+                raise ArchiveError(f"split {name!r} must be strictly positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            split_sum = times[0] + times[1] + times[2] + times[3] + times[4]
+            # written so a NaN difference (infinite overall and split sum) fails
+            matching = np.abs(times[5] - split_sum) <= OVERALL_SLACK
+        if not matching.all():
+            i = int(matching.argmin())
+            raise ArchiveError(
+                f"overall {times[5, i]:.4f} differs from split sum "
+                f"{split_sum[i]:.4f} by more than {OVERALL_SLACK} min"
+            )
+        if (places[1:] <= places[:-1]).any():
             raise ArchiveError("finish places must be strictly increasing")
 
+    @classmethod
+    def from_records(cls, label: str, group: str, records: Sequence[ResultRecord]) -> Archive:
+        """Archive of ``records`` in their order; their categories are not kept."""
+        rows = [(r.swim, r.t1, r.bike, r.t2, r.run, r.overall) for r in records]
+        return cls(
+            label,
+            group,
+            np.array([r.finish_place for r in records], dtype=np.int64),
+            tuple(r.athlete_name for r in records),
+            tuple(r.nation for r in records),
+            np.array(rows, dtype=np.float64).reshape(-1, 6).T,
+        )
+
+    @property
+    def records(self) -> tuple[ResultRecord, ...]:
+        """The rows as :class:`ResultRecord` values of category ``group``,
+        built anew from the columns at each access."""
+        return tuple(
+            ResultRecord(name, nation, self.group, place, *row)
+            for name, nation, place, row in zip(
+                self.names, self.nations, self.places.tolist(), self.times.T.tolist()
+            )
+        )
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.names)
 
     def swim_column(self) -> np.ndarray:
-        return np.array([r.swim for r in self.records])
+        return self.times[0]
 
     def bike_column(self) -> np.ndarray:
-        return np.array([r.bike for r in self.records])
+        return self.times[2]
 
     def run_column(self) -> np.ndarray:
-        return np.array([r.run for r in self.records])
+        return self.times[4]
+
+
+def _read_only(values: object, dtype: type) -> np.ndarray:
+    """``values`` as a read-only C-contiguous array of ``dtype``, copied only
+    when it is not one already."""
+    array = np.ascontiguousarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 def _record_from_row(row: dict[str, str] | ArchiveError) -> ResultRecord:
@@ -128,7 +218,7 @@ def _record_from_row(row: dict[str, str] | ArchiveError) -> ResultRecord:
         missing = [key for key in CSV_COLUMNS if key not in row]
         raise ArchiveError(f"row too short: no value for column(s) {missing}")
     times = []
-    for key in (*DISCIPLINES, "overall"):
+    for key in TIME_COLUMNS:
         try:
             times.append(parse_duration(row[key]))
         except DurationParseError as exc:
@@ -268,18 +358,24 @@ def select_group(
             f"only {len(matching)} record(s) in group {group!r}; "
             f"need at least {MIN_ARCHIVE_SIZE}"
         )
-    return Archive(label=label, group=group, records=tuple(matching[:top_n]))
+    return Archive.from_records(label, group, matching[:top_n])
 
 
 def extend_archive(base: Archive, prediction: SplitVector) -> Archive:
-    """Copy of ``base`` with the predicted splits appended as one record.
+    """Copy of ``base`` with the predicted splits appended as one row.
 
     The appended row carries placeholder identity fields; only its split
     columns matter downstream.  ``base`` is never mutated.
     """
-    place = base.records[-1].finish_place + 1
-    appended = ResultRecord("PREDICTION", "-", base.group, place, *prediction, prediction.total())
-    return Archive(label=base.label, group=base.group, records=base.records + (appended,))
+    appended = np.array([*prediction, prediction.total()])
+    return Archive(
+        base.label,
+        base.group,
+        np.append(base.places, base.places[-1] + 1),
+        base.names + ("PREDICTION",),
+        base.nations + ("-",),
+        np.concatenate((base.times, appended[:, None]), axis=1),
+    )
 
 
 def _spec_value(key: str, value: object, kind: str) -> object:
@@ -322,9 +418,11 @@ def synthesize_archive(
     positive.  Deterministic in ``seed``.
 
     An argument of the wrong type (numbers must be finite, integers may be
-    integral floats but not bools), a size below 5, a target outside [-1, 1]
-    or a spread that is not positive raises :class:`ArchiveError`; draws that
-    miss the targets ``max_tries`` times raise :class:`SynthesisError`.
+    integral floats but not bools), a negative seed or tolerance, a
+    ``max_tries`` below 1, a size below 5, a target outside [-1, 1] or a
+    spread that is not positive raises :class:`ArchiveError` before any draw;
+    draws that miss the targets ``max_tries`` times raise
+    :class:`SynthesisError`.
     """
     seed = _spec_value("seed", seed, "an integer")
     size = _spec_value("size", size, "an integer")
@@ -336,6 +434,13 @@ def synthesize_archive(
     max_tries = _spec_value("max_tries", max_tries, "an integer")
     label = _spec_value("label", label, "a string")
     group = _spec_value("group", group, "a string")
+    for key, value, least in (
+        ("seed", seed, 0), ("tolerance", tolerance, 0.0), ("max_tries", max_tries, 1)
+    ):
+        if value < least:
+            raise ArchiveError(
+                f"synthesis spec key {key!r} must be at least {least}, got {value!r}"
+            )
     if size < 5:
         raise ArchiveError(f"synthetic archive size must be at least 5, got {size}")
     for name, target in (("swim-bike", r_swim_bike), ("bike-run", r_bike_run)):
@@ -364,13 +469,14 @@ def synthesize_archive(
         ):
             totals = swim + t1 + bike + t2 + run
             order = np.argsort(totals, kind="stable")
-            # rows of (swim, t1, bike, t2, run, overall) as Python floats
-            rows = np.column_stack((swim, t1, bike, t2, run, totals))[order].tolist()
-            records = tuple(
-                ResultRecord(f"SYN-{place:03d}", "SYN", group, place, *row)
-                for place, row in enumerate(rows, start=1)
+            return Archive(
+                label,
+                group,
+                np.arange(1, size + 1),
+                tuple(f"SYN-{place:03d}" for place in range(1, size + 1)),
+                ("SYN",) * size,
+                np.vstack((swim, t1, bike, t2, run, totals))[:, order],
             )
-            return Archive(label=label, group=group, records=records)
     raise SynthesisError(
         f"could not reach correlations ({r_swim_bike}, {r_bike_run}) "
         f"within +/-{tolerance} after {max_tries} tries; "

@@ -65,17 +65,17 @@ def _centred(
     return [(mean, a - mean) for mean, a in zip(means, arrays)]
 
 
-def _finish(sxy: float, sxx: float, syy: float, x: str, y: str) -> float:
+def _finish(sxy: float, sxx: float, syy: float, **centred: np.ndarray) -> float:
     """``Sxy / sqrt(Sxx * Syy)`` clamped to [-1, 1].
 
     ``Sxx``, ``Syy`` and their product must be normal, finite floats.  A zero
     variance or one below ``sys.float_info.min`` raises the
-    :func:`_zero_variance` error for ``x`` and ``y``; an infinite or NaN one
-    raises "variances overflow".
+    :func:`_zero_variance` error for the two ``centred`` columns, given by
+    name; an infinite or NaN one raises "variances overflow".
     """
     product = sxx * syy
     if sxx < _NORMAL or syy < _NORMAL or product < _NORMAL:
-        raise _zero_variance(**{x: sxx, y: syy})
+        raise _zero_variance(**centred)
     if not product < math.inf:  # an infinity, or a NaN from one
         raise CorrelationUndefinedError("correlation undefined: variances overflow")
     return min(1.0, max(-1.0, sxy / math.sqrt(product)))
@@ -96,7 +96,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     :class:`CorrelationUndefinedError`.
     """
     (_, xc), (_, yc) = _centred((x, y))
-    return _finish(float(np.dot(xc, yc)), float(np.dot(xc, xc)), float(np.dot(yc, yc)), "x", "y")
+    return _finish(float(np.dot(xc, yc)), float(np.dot(xc, xc)), float(np.dot(yc, yc)), x=xc, y=yc)
 
 
 @_QUIET
@@ -117,7 +117,8 @@ def appended_correlation_sum(
     to the five sums, sharing the bike deviation and ``S'bb`` between the
     two pairs, and finishes each pair as :func:`pearson` does:
     ``S'xy / sqrt(S'xx * S'yy)`` clamped to [-1, 1], where a product of
-    extended variances that is 0.0 raises the :func:`_zero_variance` error.
+    extended variances that is 0.0 raises the :func:`_zero_variance` error
+    for the extended columns.
     Unlike :func:`_finish` it does not test for variances out of the normal
     range, so a caller checks the given columns and the row it keeps with
     :func:`archive_correlation`, as ``predict`` does.  It rounds
@@ -145,7 +146,11 @@ def appended_correlation_sum(
             swim_bike = (ssb + wds * db) / sqrt(s_ss * s_bb)
             bike_run = (sbr + wdb * dr) / sqrt(s_bb * s_rr)
         except ZeroDivisionError:
-            raise _zero_variance(swim=s_ss, bike=s_bb, run=s_rr) from None
+            # the given rows' deviations and the appended row's: all 0.0
+            # exactly when the extended column is constant
+            raise _zero_variance(
+                swim=np.append(s, ds), bike=np.append(b, db), run=np.append(r, dr)
+            ) from None
         if not -1.0 <= swim_bike <= 1.0:
             swim_bike = min(1.0, max(-1.0, swim_bike))
         if not -1.0 <= bike_run <= 1.0:
@@ -155,10 +160,12 @@ def appended_correlation_sum(
     return correlation_sum
 
 
-def _zero_variance(**variances: float) -> CorrelationUndefinedError:
+def _zero_variance(**centred: np.ndarray) -> CorrelationUndefinedError:
     """The error for variances, or a product of them, below the smallest
-    normal float: a zero variance, else variances that underflow."""
-    zero = [name for name, s in variances.items() if s == 0.0]
+    normal float, given each column's deviations from its mean: zero
+    variance in the first constant column, whose deviations are all 0.0,
+    else variances that underflow."""
+    zero = [name for name, deviations in centred.items() if not deviations.any()]
     what = f"zero variance in {zero[0]}" if zero else "variances underflow"
     return CorrelationUndefinedError(f"correlation undefined: {what}")
 
@@ -171,6 +178,6 @@ def archive_correlation(archive: Archive) -> CorrelationPair:
     (_, s), (_, b), (_, r) = _centred(columns)
     sbb = float(np.dot(b, b))
     return CorrelationPair(
-        r_swim_bike=_finish(float(np.dot(s, b)), float(np.dot(s, s)), sbb, "swim", "bike"),
-        r_bike_run=_finish(float(np.dot(b, r)), sbb, float(np.dot(r, r)), "bike", "run"),
+        r_swim_bike=_finish(float(np.dot(s, b)), float(np.dot(s, s)), sbb, swim=s, bike=b),
+        r_bike_run=_finish(float(np.dot(b, r)), sbb, float(np.dot(r, r)), bike=b, run=r),
     )

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
 from helpers import oracle_pearson
 from tripace.archive import (
     CSV_COLUMNS,
+    MAX_PLACE,
+    TIME_COLUMNS,
     Archive,
     ArchiveError,
     ResultRecord,
@@ -57,14 +60,70 @@ class TestResultRecord:
             make_record(place=0)
 
 
+def assert_same_archive(a, b):
+    """Every field of two archives equal, every column element for element."""
+    assert (a.label, a.group, a.names, a.nations) == (b.label, b.group, b.names, b.nations)
+    assert np.array_equal(a.places, b.places)
+    assert np.array_equal(a.times, b.times)
+
+
+def column_archive(times, places=None):
+    """An archive built from columns directly, past the per-record checks."""
+    times = np.asarray(times, dtype=float)
+    n = times.shape[1]
+    places = np.arange(1, n + 1) if places is None else places
+    return Archive("x", "g", places, ("A",) * n, ("-",) * n, times)
+
+
+def row_times(*splits):
+    """(6, n) times whose overall row is each row's split sum."""
+    rows = [(*s, s[0] + s[1] + s[2] + s[3] + s[4]) for s in splits]
+    return np.array(rows, dtype=float).T
+
+
 class TestArchiveInvariants:
     def test_non_empty(self):
         with pytest.raises(ArchiveError, match="at least one"):
-            Archive(label="x", group="g", records=())
+            Archive.from_records("x", "g", ())
 
     def test_places_strictly_increasing(self):
         with pytest.raises(ArchiveError, match="strictly increasing"):
-            Archive(label="x", group="g", records=(make_record(2), make_record(2)))
+            Archive.from_records("x", "g", (make_record(2), make_record(2)))
+
+    # the rules below are ResultRecord's, checked again on the columns
+    def test_place_positive(self):
+        times = row_times((30.0, 3.0, 160.0, 3.0, 95.0), (31.0, 3.0, 160.0, 3.0, 95.0))
+        with pytest.raises(ArchiveError, match="^finish place must be positive, got 0$"):
+            column_archive(times, places=[0, 1])
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_splits_strictly_positive(self, value):
+        times = row_times((30.0, 3.0, 160.0, 3.0, 95.0), (31.0, 3.0, 160.0, 3.0, 95.0))
+        times[3, 1] = value
+        with pytest.raises(ArchiveError, match="^split 't2' must be strictly positive$"):
+            column_archive(times)
+
+    def test_overall_must_match_split_sum(self):
+        times = row_times((30.0, 3.0, 160.0, 3.0, 95.0), (31.0, 3.0, 160.0, 3.0, 95.0))
+        times[5, 1] = 300.0
+        with pytest.raises(ArchiveError, match="^overall 300.0000 differs from split sum 292.0000"):
+            column_archive(times)
+
+    def test_infinite_split_and_overall_rejected(self):
+        times = row_times((30.0, 3.0, 160.0, 3.0, 95.0), (float("inf"), 3.0, 160.0, 3.0, 95.0))
+        with pytest.raises(ArchiveError, match="^overall inf differs"):
+            column_archive(times)
+
+    def test_columns_of_unequal_length(self):
+        times = row_times((30.0, 3.0, 160.0, 3.0, 95.0), (31.0, 3.0, 160.0, 3.0, 95.0))
+        with pytest.raises(ArchiveError, match="unequal length"):
+            column_archive(times, places=[1, 2, 3])
+
+    def test_columns_are_read_only(self, high_corr_archive):
+        with pytest.raises(ValueError, match="read-only"):
+            high_corr_archive.swim_column()[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            high_corr_archive.places[0] = 7
 
 
 class TestLoadCsv:
@@ -80,6 +139,15 @@ class TestLoadCsv:
         path = tmp_path / "bom.csv"
         path.write_text(table1_csv_text(), encoding="utf-8-sig")
         assert load_archive(path) == (table1_records, [])
+
+    def test_place_beyond_the_largest_skipped(self, tmp_path, table1_records):
+        # an archive keeps places as int64, which cannot hold this one
+        path = tmp_path / "far.csv"
+        path.write_text(table1_csv_text() + f"Far,-,PRO-M,{10**20},1,1,1,1,1,5\n")
+        records, skipped = load_archive(path)
+        assert records == table1_records
+        assert skipped == [f"far.csv row 7: finish place must be at most {MAX_PLACE}, got {10**20}"]
+        assert len(select_group(records, "PRO-M", 30)) == 5
 
     def test_header_only_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -303,13 +371,11 @@ class TestExtendArchive:
         assert len(extended) == len(high_corr_archive) + 1
 
     def test_base_not_mutated(self, high_corr_archive):
-        snapshot = Archive(
-            label=high_corr_archive.label,
-            group=high_corr_archive.group,
-            records=tuple(high_corr_archive.records),
+        snapshot = Archive.from_records(
+            high_corr_archive.label, high_corr_archive.group, high_corr_archive.records
         )
         extend_archive(high_corr_archive, self.prediction)
-        assert high_corr_archive == snapshot
+        assert_same_archive(high_corr_archive, snapshot)
 
     def test_existing_order_kept(self, high_corr_archive):
         extended = extend_archive(high_corr_archive, self.prediction)
@@ -323,10 +389,8 @@ class TestExtendArchive:
         assert appended.finish_place == len(high_corr_archive) + 1
 
     def test_place_stays_increasing_with_sparse_places(self):
-        base = Archive(
-            label="sparse",
-            group="M",
-            records=(make_record(place=5), make_record(place=9), make_record(place=14)),
+        base = Archive.from_records(
+            "sparse", "M", (make_record(place=5), make_record(place=9), make_record(place=14))
         )
         extended = extend_archive(base, self.prediction)
         assert extended.records[-1].finish_place == 15
@@ -336,7 +400,7 @@ class TestSynthesize:
     def test_deterministic(self):
         a = synthesize_archive(1, 30, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS)
         b = synthesize_archive(1, 30, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS)
-        assert a == b
+        assert_same_archive(a, b)
 
     def test_hits_targets_within_tolerance(self, high_corr_archive):
         swim = [r.swim for r in high_corr_archive.records]
@@ -393,6 +457,9 @@ class TestSynthesize:
             ("means", [str(v) for v in SYNTH_MEANS]),
             ("means", SYNTH_MEANS[:4]),
             ("tolerance", float("nan")),
+            ("seed", -1),
+            ("tolerance", -1.0),
+            ("max_tries", 0),
         ],
     )
     def test_mistyped_argument_names_its_key(self, key, value):
@@ -406,7 +473,7 @@ class TestSynthesize:
 
     def test_integral_float_seed_is_that_seed(self):
         a = synthesize_archive(1.0, 30.0, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS)
-        assert a == synthesize_archive(1, 30, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS)
+        assert_same_archive(a, synthesize_archive(1, 30, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS))
 
     def test_impossible_positivity(self):
         with pytest.raises(SynthesisError):
@@ -452,3 +519,26 @@ def test_write_back_identity_property(records, tmp_path_factory):
     for before, after in zip(records, reloaded):
         for name in ("swim", "t1", "bike", "t2", "run", "overall"):
             assert abs(getattr(after, name) - getattr(before, name)) <= 5e-7
+
+
+@given(records=record_batches(), prediction=st.tuples(*[times] * 5))
+@settings(max_examples=60, deadline=None)
+def test_columnar_layout_property(records, prediction):
+    archive = Archive.from_records("prop", "M25-29", records)
+    for row, name in enumerate(TIME_COLUMNS):
+        expected = np.array([getattr(r, name) for r in records])
+        assert np.array_equal(archive.times[row], expected)
+    assert np.array_equal(archive.swim_column(), np.array([r.swim for r in records]))
+    assert np.array_equal(archive.bike_column(), np.array([r.bike for r in records]))
+    assert np.array_equal(archive.run_column(), np.array([r.run for r in records]))
+    assert np.array_equal(archive.places, [r.finish_place for r in records])
+    assert archive.names == tuple(r.athlete_name for r in records)
+    assert archive.records == tuple(records)
+    for column in (*archive.times, archive.places):
+        assert column.flags.c_contiguous and not column.flags.writeable
+    places, columns = archive.places.copy(), archive.times.copy()
+    extended = extend_archive(archive, SplitVector(*prediction))
+    assert np.array_equal(archive.places, places) and np.array_equal(archive.times, columns)
+    assert np.array_equal(extended.times[:, :-1], columns)
+    for column in extended.times:
+        assert column.flags.c_contiguous and not column.flags.writeable

@@ -611,6 +611,23 @@ class TestSynthCommand:
         assert captured.err.startswith(f"error: synthesis spec key {key!r} must be")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "key, value, least", [("seed", -1, "0"), ("tolerance", -1.0, "0.0"), ("max_tries", 0, "1")]
+    )
+    def test_out_of_range_spec_entry_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, key, value, least
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was scored before the spec was checked")
+
+        monkeypatch.setattr("tripace.archive.pearson", no_draw)
+        spec = json.dumps(dict(HIGH_SPEC, size=10_000, **{key: value}))
+        code = main(["synth", "--synth-spec", spec, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: synthesis spec key {key!r} must be at least {least}, got {value!r}\n"
+        )
+
     def test_integral_float_entries_accepted(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         floats = json.dumps(dict(HIGH_SPEC, seed=1.0, size=30.0, max_tries=500.0))

@@ -229,7 +229,7 @@ class TestPreferenceFitness:
             )
             for i in (1, 2, 3)
         )
-        base = Archive(label="flat", group="M", records=rows)
+        base = Archive.from_records("flat", "M", rows)
         cfg = ModelConfig()
         fake_pair = CorrelationPair(r_swim_bike=0.0, r_bike_run=0.0)
         candidate = SplitVector(swim=30.0, t1=3.0, bike=160.0, t2=3.0, run=95.0)

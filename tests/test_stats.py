@@ -44,6 +44,13 @@ class TestPearsonReference:
         with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
             pearson([0.0, 1e-100, 2e-100], [0.0, 1e-100, 3e-100])
 
+    def test_varied_column_whose_squares_underflow_is_not_constant(self):
+        # the centred squares of y underflow to 0.0, yet y is not constant
+        with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
+            pearson([1.0, 2.0, 3.0], [1e-320, 2e-320, 4e-320])
+        with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
+            pearson([1e-320, 2e-320, 4e-320], [1.0, 2.0, 3.0])
+
     @pytest.mark.parametrize("scale", [1e100, 1e160])
     def test_overflowing_variances_raise(self, scale):
         swim = [v * scale for v in TABLE1_SWIM]
@@ -127,6 +134,15 @@ class TestAppendedPearson:
         with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
             correlation_sum(3e-100, 5e-100, 3.0)
 
+    def test_varied_column_whose_squares_underflow_is_not_constant(self):
+        # the extended bike column is not constant, but its centred squares
+        # and the appended term underflow to 0.0
+        correlation_sum = appended_correlation_sum(
+            (1.0, 2.0, 3.0), (1e-320, 2e-320, 4e-320), (1.0, 2.0, 4.0)
+        )
+        with pytest.raises(CorrelationUndefinedError, match="variances underflow"):
+            correlation_sum(1.0, 3e-320, 2.0)
+
     def test_too_short(self):
         with pytest.raises(CorrelationUndefinedError, match="at least 3"):
             appended_correlation_sum((1.0,), (1.0,), (1.0,))
@@ -178,7 +194,7 @@ class TestArchiveCorrelation:
             )
             for r in table1_archive.records
         )
-        flat = Archive(label="flat", group="PRO-M", records=flat_bike)
+        flat = Archive.from_records("flat", "PRO-M", flat_bike)
         with pytest.raises(CorrelationUndefinedError, match="zero variance in bike"):
             archive_correlation(flat)
 
