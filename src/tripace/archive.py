@@ -8,10 +8,13 @@ correlation code reads a column without a copy, the synthetic generator
 builds an archive from its draws with a few numpy calls, and extending an
 archive appends one column.  Its rules are checked once per archive, on
 whole columns.  Loading accepts the CSV/JSON exports described in the
-README and yields one :class:`ResultRecord` per row; rows that fail basic
-sanity checks (splits not positive, overall not matching the split sum) are
-skipped and reported rather than aborting the load, since public race
-exports routinely contain DNF/DSQ rows.  The split
+README and keeps their rows by column too (:class:`ResultRows`): it reads a
+block of rows at a time, parses each time column of the block in one pass
+and checks the rules of :class:`ResultRecord` on whole columns, so a row
+that passes costs no record of its own.  Rows that fail basic sanity checks
+(splits not positive, overall not matching the split sum) are skipped and
+reported rather than aborting the load, since public race exports
+routinely contain DNF/DSQ rows.  The split
 schema, the five disciplines in race order and the vector of their times,
 lives here, below the model that predicts splits, and so does the synthesis
 spec: its keys are the parameters of :func:`synthesize_archive`.
@@ -22,6 +25,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
+from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from .pso import finite_number, integer_setting
 from .stats import pearson
-from .timekit import DurationParseError, parse_duration
+from .timekit import DurationParseError, parse_duration, parse_durations
 
 DISCIPLINES = ("swim", "t1", "bike", "t2", "run")
 
@@ -47,6 +52,11 @@ MIN_ARCHIVE_SIZE = 3
 # Largest finish place: an archive keeps places as int64, and this leaves
 # room to append rows.
 MAX_PLACE = 2**62
+
+# Rows that load_archive reads and parses per pass: enough to spread the cost
+# of each pass, few enough that the raw rows of a large file are never all
+# held at once.
+_BLOCK_ROWS = 1024
 
 
 class ArchiveError(ValueError):
@@ -199,6 +209,26 @@ class Archive:
         return self.times[4]
 
 
+@dataclass(frozen=True, eq=False)
+class ResultRows:
+    """The rows of a result file by column, as :func:`load_archive` keeps them.
+
+    ``categories``, ``names`` and ``nations`` are tuples and ``places`` an
+    int64 array, one entry per row in file order; ``times`` is a (6, n)
+    float64 array with one row per column of :data:`TIME_COLUMNS`.  Every
+    row passes the checks of :class:`ResultRecord`.
+    """
+
+    categories: tuple[str, ...]
+    places: np.ndarray
+    names: tuple[str, ...]
+    nations: tuple[str, ...]
+    times: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.categories)
+
+
 def _read_only(values: object, dtype: type) -> np.ndarray:
     """``values`` as a read-only C-contiguous array of ``dtype``, copied only
     when it is not one already."""
@@ -208,10 +238,12 @@ def _read_only(values: object, dtype: type) -> np.ndarray:
 
 
 def _record_from_row(row: dict[str, str] | ArchiveError) -> ResultRecord:
+    """The record of one row that :func:`load_archive` could not keep by
+    column, or the :class:`ArchiveError` that says why it is skipped."""
     if isinstance(row, ArchiveError):  # a CSV row the csv module could not read
         raise row
-    # a ragged CSV row: _rows_from_csv files surplus fields under the key
-    # None and leaves the columns of a short row out
+    # a ragged CSV row: _row_dict files surplus fields under the key None and
+    # leaves the columns of a short row out
     if None in row:
         raise ArchiveError(f"{len(row[None])} field(s) beyond the header's columns")
     if len(row) < len(CSV_COLUMNS):
@@ -230,8 +262,40 @@ def _record_from_row(row: dict[str, str] | ArchiveError) -> ResultRecord:
     return ResultRecord(row["name"], row["nation"], row["category"], place, *times)
 
 
-def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str] | ArchiveError]]:
-    """Non-blank rows as they are read, each with the file line it ends on.
+def _row_dict(header: Sequence[str], row: list[str] | ArchiveError) -> dict | ArchiveError:
+    """``row`` by column name, as :func:`_record_from_row` takes it."""
+    if isinstance(row, ArchiveError):
+        return row
+    named: dict = dict(zip(header, row))
+    if len(row) > len(header):
+        named[None] = row[len(header):]
+    return named
+
+
+class _Block(NamedTuple):
+    """Up to ``_BLOCK_ROWS`` consecutive non-blank rows of a result file.
+
+    ``numbers`` names each row by its CSV line or JSON entry number.  A row
+    is a list of its fields in the order of ``header``, or the
+    :class:`ArchiveError` of a CSV row the csv module could not read.
+    """
+
+    header: Sequence[str]
+    numbers: tuple[int, ...]
+    rows: tuple[list[str] | ArchiveError, ...]
+
+
+def _blocks(
+    header: Sequence[str], rows: Iterator[tuple[int, list[str] | ArchiveError]]
+) -> Iterator[_Block]:
+    while chunk := list(islice(rows, _BLOCK_ROWS)):
+        numbers, fields = zip(*chunk)
+        yield _Block(header, numbers, fields)
+
+
+def _csv_blocks(path: Path) -> Iterator[_Block]:
+    """The non-blank rows of a CSV file in blocks, each row with the file line
+    it ends on.
 
     A row the csv module cannot read, such as one with a field over
     ``csv.field_size_limit()``, comes as an :class:`ArchiveError`; the reader
@@ -247,24 +311,24 @@ def _rows_from_csv(path: Path) -> Iterator[tuple[int, dict[str, str] | ArchiveEr
         if header is None:
             raise ArchiveError(f"{path}: missing header row")
         _check_columns(header, path)
-        width = len(header)
-        while True:
-            try:
-                fields = next(reader)
-            except StopIteration:
-                return
-            except csv.Error as exc:
-                yield reader.line_num, ArchiveError(str(exc))
-                continue
-            if any(f.strip() for f in fields):
-                row = dict(zip(header, fields))
-                if len(fields) > width:
-                    row[None] = fields[width:]
-                yield reader.line_num, row
+        yield from _blocks(header, _csv_rows(reader))
 
 
-def _rows_from_json(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
-    """Result objects, each with its 1-based entry number."""
+def _csv_rows(reader) -> Iterator[tuple[int, list[str] | ArchiveError]]:
+    """The rows of ``reader`` with a non-blank field, each with its line."""
+    while True:
+        try:
+            for fields in reader:
+                if any(map(str.strip, fields)):
+                    yield reader.line_num, fields
+            return
+        except csv.Error as exc:
+            yield reader.line_num, ArchiveError(str(exc))
+
+
+def _json_blocks(path: Path) -> Iterator[_Block]:
+    """The result objects of a JSON array in blocks, each with its 1-based
+    entry number, their values as strings in the order of :data:`CSV_COLUMNS`."""
     with path.open(encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
@@ -272,11 +336,15 @@ def _rows_from_json(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
             raise ArchiveError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(payload, list):
         raise ArchiveError(f"{path}: expected a JSON array of result objects")
-    for i, entry in enumerate(payload, start=1):
-        if not isinstance(entry, dict):
-            raise ArchiveError(f"{path}: entry {i} is not a result object: {entry!r}")
-        _check_columns(entry.keys(), path)
-        yield i, {k: str(v) for k, v in entry.items()}
+
+    def entries() -> Iterator[tuple[int, list[str]]]:
+        for i, entry in enumerate(payload, start=1):
+            if not isinstance(entry, dict):
+                raise ArchiveError(f"{path}: entry {i} is not a result object: {entry!r}")
+            _check_columns(entry.keys(), path)
+            yield i, [str(entry[key]) for key in CSV_COLUMNS]
+
+    yield from _blocks(CSV_COLUMNS, entries())
 
 
 def _check_columns(names: Iterable[str], path: Path) -> None:
@@ -294,13 +362,79 @@ def _check_columns(names: Iterable[str], path: Path) -> None:
         raise ArchiveError(f"{path}: duplicate column(s) {repeated}")
 
 
-def load_archive(path: str | Path, format: str = "auto") -> tuple[list[ResultRecord], list[str]]:
-    """Load result rows from a CSV or JSON export.
+def _places(texts: Sequence[str]) -> np.ndarray:
+    """Each text as ``int()`` reads it, 0 where that is no place in [1, MAX_PLACE]."""
+    try:
+        places = list(map(int, texts))
+    except ValueError:
+        places = []
+        for text in texts:
+            try:
+                places.append(int(text))
+            except ValueError:
+                places.append(0)
+    if min(places) < 1 or max(places) > MAX_PLACE:
+        places = [place if 1 <= place <= MAX_PLACE else 0 for place in places]
+    return np.array(places, dtype=np.int64)
 
-    Returns ``(records, skipped)`` where ``skipped`` holds one message per
-    row that was dropped for violating record sanity checks, naming the row
-    by its line in a CSV file (the line it ends on) or its entry number in
-    a JSON array.  Raises
+
+def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
+    """The rows of ``block`` that :class:`ResultRecord` accepts, by column.
+
+    Every column is parsed in one pass and the record rules are checked on
+    whole columns.  Only a row that fails them goes through
+    :func:`_record_from_row`, which keeps it after all or appends its
+    message to ``skipped``, so the kept rows and the messages are the ones a
+    per-row load gives.
+    """
+    width = len(block.header)
+    filler = [""] * width  # reads as no time, so a misshapen row goes to the per-row path
+    shaped = [
+        row if type(row) is list and len(row) == width else filler for row in block.rows
+    ]
+    columns = dict(zip(block.header, zip(*shaped)))
+    times = np.vstack([parse_durations(columns[key]) for key in TIME_COLUMNS])
+    places = _places(columns["place"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        split_sum = times[0] + times[1] + times[2] + times[3] + times[4]
+        # comparisons with a NaN, a time not read, are false
+        kept = (
+            (places > 0)
+            & (times[:5] > 0.0).all(axis=0)
+            & (np.abs(times[5] - split_sum) <= OVERALL_SLACK)
+        )
+    for i in np.flatnonzero(~kept).tolist():  # in file order
+        row = block.rows[i]
+        try:
+            record = _record_from_row(_row_dict(block.header, row))
+        except ArchiveError as exc:
+            skipped.append(f"{name} row {block.numbers[i]}: {exc}")
+            continue
+        # kept after all, e.g. with a padded time; its place was read by int()
+        # above as here, and a misshapen row is never kept
+        times[:, i] = (record.swim, record.t1, record.bike, record.t2, record.run, record.overall)
+        kept[i] = True
+    mask = kept.tolist()
+    return ResultRows(
+        tuple(compress(columns["category"], mask)),
+        places[kept],
+        tuple(compress(columns["name"], mask)),
+        tuple(compress(columns["nation"], mask)),
+        times[:, kept],
+    )
+
+
+def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, list[str]]:
+    """Load result rows from a CSV or JSON export, by column.
+
+    Returns ``(rows, skipped)``.  ``rows`` holds the rows that pass the
+    :class:`ResultRecord` checks, in file order, as :class:`ResultRows`.
+    ``skipped`` holds one message per row that was dropped, in file order,
+    naming the row by its line in a CSV file (the line it ends on) or its
+    entry number in a JSON array.  The file is read and parsed
+    ``_BLOCK_ROWS`` rows at a time, each time column of a block in one
+    :func:`~tripace.timekit.parse_durations` pass, so no row costs a record
+    or a dict of its own unless it fails a check.  Raises
     :class:`ArchiveError` for structural problems: unreadable file or
     header, JSON nested too deeply to parse, unknown or missing columns, or
     zero parseable rows.
@@ -310,55 +444,67 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[list[ResultRec
         format = "json" if p.suffix.lower() == ".json" else "csv"
     if format not in ("csv", "json"):
         raise ValueError(f"unknown archive format {format!r}")
-    rows = _rows_from_json(p) if format == "json" else _rows_from_csv(p)
-    records: list[ResultRecord] = []
+    blocks = _json_blocks(p) if format == "json" else _csv_blocks(p)
+    parts: list[ResultRows] = []
     skipped: list[str] = []
     try:
-        for i, row in rows:  # reading happens here, one row at a time
-            try:
-                records.append(_record_from_row(row))
-            except ArchiveError as exc:
-                skipped.append(f"{p.name} row {i}: {exc}")
+        for block in blocks:  # reading happens here, one block at a time
+            parts.append(_read_block(block, skipped, p.name))
     except OSError as exc:
         raise ArchiveError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"{p}: invalid JSON: {exc}") from exc
-    if not records:
+    rows = ResultRows(
+        tuple(chain.from_iterable(part.categories for part in parts)),
+        np.concatenate([part.places for part in parts] or [np.empty(0, np.int64)]),
+        tuple(chain.from_iterable(part.names for part in parts)),
+        tuple(chain.from_iterable(part.nations for part in parts)),
+        np.concatenate([part.times for part in parts] or [np.empty((6, 0))], axis=1),
+    )
+    if not len(rows):
         raise ArchiveError(f"{p}: zero parseable rows")
-    return records, skipped
+    return rows, skipped
 
 
-def write_archive_csv(records: Sequence[ResultRecord], path: str | Path) -> None:
-    """Write records back out in the CSV schema, times as decimal minutes."""
+def write_archive_csv(archive: Archive, path: str | Path) -> None:
+    """Write an archive out in the CSV schema, its group as every row's
+    category and times as decimal minutes, straight from its columns."""
+    times = [list(map("{:.6f}".format, column)) for column in archive.times.tolist()]
+    places = archive.places.tolist()
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.athlete_name, r.nation, r.category, r.finish_place]
-                + [f"{v:.6f}" for v in (r.swim, r.t1, r.bike, r.t2, r.run, r.overall)]
-            )
+        writer.writerows(zip(archive.names, archive.nations, repeat(archive.group), places, *times))
 
 
-def select_group(
-    records: Sequence[ResultRecord], group: str, top_n: int, label: str = ""
-) -> Archive:
+def select_group(rows: ResultRows, group: str, top_n: int, label: str = "") -> Archive:
     """Archive of the best ``top_n`` finishers in one category.
 
-    Filters to the category, orders by finish place, truncates.  Fewer than
-    three matching rows leave correlation undefined and raise.
+    Picks the rows of the category, orders them by finish place (ties kept
+    in file order), truncates, and builds the :class:`Archive` from the
+    columns.  Fewer than three matching rows leave correlation undefined
+    and raise.
     """
     if top_n < MIN_ARCHIVE_SIZE:
         raise ArchiveError(f"top_n must be at least {MIN_ARCHIVE_SIZE}, got {top_n}")
-    matching = sorted(
-        (r for r in records if r.category == group), key=lambda r: r.finish_place
+    matching = np.flatnonzero(
+        np.fromiter(map(eq, rows.categories, repeat(group)), dtype=bool, count=len(rows))
     )
     if len(matching) < MIN_ARCHIVE_SIZE:
         raise ArchiveError(
             f"only {len(matching)} record(s) in group {group!r}; "
             f"need at least {MIN_ARCHIVE_SIZE}"
         )
-    return Archive.from_records(label, group, matching[:top_n])
+    chosen = matching[np.argsort(rows.places[matching], kind="stable")][:top_n]
+    picked = chosen.tolist()
+    return Archive(
+        label,
+        group,
+        rows.places[chosen],
+        tuple(rows.names[i] for i in picked),
+        tuple(rows.nations[i] for i in picked),
+        rows.times[:, chosen],
+    )
 
 
 def extend_archive(base: Archive, prediction: SplitVector) -> Archive:

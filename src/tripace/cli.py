@@ -205,7 +205,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     archive = synthesize_from_spec(args.synth_spec)
-    write_archive_csv(archive.records, args.out)
+    write_archive_csv(archive, args.out)
     pair = archive_correlation(archive)
     print(
         f"wrote {len(archive)} records to {args.out} "

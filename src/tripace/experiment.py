@@ -148,13 +148,13 @@ def resolve_archive(cfg: ExperimentConfig) -> Archive:
     """Materialize the experiment's archive from file or synthesis spec."""
     if cfg.synth_spec is not None:
         return synthesize_from_spec(cfg.synth_spec)
-    records, skipped = load_archive(cfg.archive_path, cfg.archive_format)
+    rows, skipped = load_archive(cfg.archive_path, cfg.archive_format)
     if skipped:
         print(f"skipped {len(skipped)} row(s) while loading:", file=sys.stderr)
         for message in skipped:
             print(f"  {message}", file=sys.stderr)
     label = Path(cfg.archive_path).stem
-    return select_group(records, cfg.group, cfg.top_n, label=label)
+    return select_group(rows, cfg.group, cfg.top_n, label=label)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -165,7 +165,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     the mean/stdev rows; if every run is infeasible the experiment fails
     with :class:`ExperimentError`.  The correlation constraint is not convex,
     so the mean of feasible plans can break it: when appending the Mean row
-    does not raise the archive's correlation sum, a line on stderr says so.
+    does not raise the archive's correlation sum, a line on stderr says so,
+    with the two sums printed to as many decimals as tell them apart.
     """
     archive = resolve_archive(cfg)
     base_sum = archive_correlation(archive).sum
@@ -185,8 +186,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     mean_row, stdev_row = _aggregate(feasible)
     mean_sum = archive_correlation(extend_archive(archive, SplitVector(*mean_row[:5]))).sum
     if mean_sum <= base_sum:
-        print(f"Mean row infeasible: correlation sum {base_sum:.6f} -> {mean_sum:.6f}",
-              file=sys.stderr)
+        before, after = _told_apart(base_sum, mean_sum)
+        print(f"Mean row infeasible: correlation sum {before} -> {after}", file=sys.stderr)
     return ExperimentReport(
         archive_label=archive.label,
         archive_group=archive.group,
@@ -196,6 +197,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         mean_row=mean_row,
         stdev_row=stdev_row,
     )
+
+
+def _told_apart(a: float, b: float) -> tuple[str, str]:
+    """``a`` and ``b`` with the fewest decimals, from 6 up to 17, that tell
+    them apart; with 6 when none does."""
+    for decimals in range(6, 18):
+        pair = (f"{a:.{decimals}f}", f"{b:.{decimals}f}")
+        if pair[0] != pair[1]:
+            return pair
+    return f"{a:.6f}", f"{b:.6f}"
 
 
 def _aggregate(

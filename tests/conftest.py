@@ -39,15 +39,15 @@ def table1_csv(tmp_path_factory) -> str:
 
 
 @pytest.fixture(scope="session")
-def table1_records(table1_csv):
-    records, skipped = load_archive(table1_csv)
+def table1_rows(table1_csv):
+    rows, skipped = load_archive(table1_csv)
     assert not skipped
-    return records
+    return rows
 
 
 @pytest.fixture(scope="session")
-def table1_archive(table1_records):
-    return select_group(table1_records, "PRO-M", 5, label="taiwan2015")
+def table1_archive(table1_rows):
+    return select_group(table1_rows, "PRO-M", 5, label="taiwan2015")
 
 
 @pytest.fixture(scope="session")

@@ -2,21 +2,36 @@
 
 These deliberately avoid the package's own numeric paths: plain-Python
 accumulation for the correlation coefficient, a componentwise loop for
-the swarm step, a numpy whole-run swarm engine, and the objective composed
-from the extended archive, so agreement checks actually compare two routes.
+the swarm step, a numpy whole-run swarm engine, the objective composed
+from the extended archive, and a loader that parses one row at a time into
+one record each, so agreement checks actually compare two routes.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from tripace.archive import Archive, extend_archive
+from tripace.archive import (
+    CSV_COLUMNS,
+    TIME_COLUMNS,
+    Archive,
+    ArchiveError,
+    ResultRecord,
+    ResultRows,
+    _check_columns,
+    extend_archive,
+)
 from tripace.preference import ModelConfig, SplitVector
 from tripace.pso import PsoResult
 from tripace.stats import CorrelationPair, CorrelationUndefinedError, archive_correlation
+from tripace.timekit import DurationParseError
 
 
 def oracle_pearson(x, y) -> float:
@@ -167,3 +182,176 @@ def reference_run(config, fitness) -> PsoResult:
         evaluations_used=used,
         history=history,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference loader: the per-row loader the package shipped before it loaded
+# result files by column, frozen here as an oracle for ``load_archive``.  Each
+# row becomes a dict, each time cell goes through its own parse with one
+# regex per grammar, and each kept row is one ResultRecord.
+
+_HMS_RE = re.compile(r"^(\d+):(\d{2}):(\d{2}(?:\.\d+)?)$")
+_MS_RE = re.compile(r"^(\d{1,2}):(\d{2}(?:\.\d+)?)$")
+_DECIMAL_RE = re.compile(r"^\d+(?:\.\d+)?$")
+
+
+def reference_parse_duration(text: str) -> float:
+    """``parse_duration`` as it was written before its grammars shared one regex."""
+    stripped = text.strip()
+    if not stripped:
+        raise DurationParseError("empty time string")
+    if stripped.startswith("-"):
+        raise DurationParseError(f"negative component in {text!r}")
+    colons = stripped.count(":")
+    if colons == 2:
+        m = _HMS_RE.match(stripped)
+        if m is None:
+            raise DurationParseError(f"not an h:mm:ss[.ss] time: {text!r}")
+        hours, minutes, seconds = float(m.group(1)), int(m.group(2)), float(m.group(3))
+        if minutes >= 60:
+            raise DurationParseError(f"minutes field {minutes} out of range in {text!r}")
+        if seconds >= 60.0:
+            raise DurationParseError(f"seconds field {m.group(3)} out of range in {text!r}")
+        total = hours * 60.0 + minutes + seconds / 60.0
+    elif colons == 1:
+        m = _MS_RE.match(stripped)
+        if m is None:
+            raise DurationParseError(f"not an m:ss[.ss] time: {text!r}")
+        minutes, seconds = int(m.group(1)), float(m.group(2))
+        if minutes >= 60:
+            raise DurationParseError(f"minutes field {minutes} out of range in {text!r}")
+        if seconds >= 60.0:
+            raise DurationParseError(f"seconds field {m.group(2)} out of range in {text!r}")
+        total = minutes + seconds / 60.0
+    elif colons:
+        raise DurationParseError(f"too many fields in {text!r}")
+    elif _DECIMAL_RE.match(stripped) is None:
+        raise DurationParseError(f"not a decimal-minutes value: {text!r}")
+    else:
+        total = float(stripped)
+    if not math.isfinite(total):
+        raise DurationParseError(f"time too large for a float: {text!r}")
+    return total
+
+
+def _reference_record(row: dict | ArchiveError) -> ResultRecord:
+    if isinstance(row, ArchiveError):
+        raise row
+    if None in row:
+        raise ArchiveError(f"{len(row[None])} field(s) beyond the header's columns")
+    if len(row) < len(CSV_COLUMNS):
+        missing = [key for key in CSV_COLUMNS if key not in row]
+        raise ArchiveError(f"row too short: no value for column(s) {missing}")
+    times = []
+    for key in TIME_COLUMNS:
+        try:
+            times.append(reference_parse_duration(row[key]))
+        except DurationParseError as exc:
+            raise ArchiveError(f"column {key!r}: {exc}") from exc
+    try:
+        place = int(row["place"])
+    except ValueError as exc:
+        raise ArchiveError(f"column 'place': not an integer: {row['place']!r}") from exc
+    return ResultRecord(row["name"], row["nation"], row["category"], place, *times)
+
+
+def _reference_csv_rows(path: Path):
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ArchiveError(f"{path}: header: {exc}") from exc
+        if header is None:
+            raise ArchiveError(f"{path}: missing header row")
+        _check_columns(header, path)
+        width = len(header)
+        while True:
+            try:
+                fields = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                yield reader.line_num, ArchiveError(str(exc))
+                continue
+            if any(f.strip() for f in fields):
+                row = dict(zip(header, fields))
+                if len(fields) > width:
+                    row[None] = fields[width:]
+                yield reader.line_num, row
+
+
+def _reference_json_rows(path: Path):
+    with path.open(encoding="utf-8-sig") as fh:
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ArchiveError(f"{path}: invalid JSON: nested too deeply") from None
+    if not isinstance(payload, list):
+        raise ArchiveError(f"{path}: expected a JSON array of result objects")
+    for i, entry in enumerate(payload, start=1):
+        if not isinstance(entry, dict):
+            raise ArchiveError(f"{path}: entry {i} is not a result object: {entry!r}")
+        _check_columns(entry.keys(), path)
+        yield i, {k: str(v) for k, v in entry.items()}
+
+
+def reference_load_archive(path, format: str = "auto") -> tuple[list[ResultRecord], list[str]]:
+    """The per-row loader: ``(records, skipped)`` with one record per kept row."""
+    p = Path(path)
+    if format == "auto":
+        format = "json" if p.suffix.lower() == ".json" else "csv"
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown archive format {format!r}")
+    rows = _reference_json_rows(p) if format == "json" else _reference_csv_rows(p)
+    records: list[ResultRecord] = []
+    skipped: list[str] = []
+    try:
+        for i, row in rows:
+            try:
+                records.append(_reference_record(row))
+            except ArchiveError as exc:
+                skipped.append(f"{p.name} row {i}: {exc}")
+    except OSError as exc:
+        raise ArchiveError(f"cannot read {p}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ArchiveError(f"{p}: invalid JSON: {exc}") from exc
+    if not records:
+        raise ArchiveError(f"{p}: zero parseable rows")
+    return records, skipped
+
+
+def reference_write_archive_csv(records, path) -> None:
+    """The record-wise writer: one CSV row per ResultRecord, times as decimal minutes."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for r in records:
+            writer.writerow(
+                [r.athlete_name, r.nation, r.category, r.finish_place]
+                + [f"{v:.6f}" for v in (r.swim, r.t1, r.bike, r.t2, r.run, r.overall)]
+            )
+
+
+def rows_from_records(records) -> ResultRows:
+    """The columns of ``records``, in their order, as ``load_archive`` returns rows."""
+    records = list(records)
+    times = [[getattr(r, name) for r in records] for name in TIME_COLUMNS]
+    return ResultRows(
+        tuple(r.category for r in records),
+        np.array([r.finish_place for r in records], dtype=np.int64),
+        tuple(r.athlete_name for r in records),
+        tuple(r.nation for r in records),
+        np.array(times, dtype=np.float64).reshape(6, len(records)),
+    )
+
+
+def assert_same_rows(rows: ResultRows, expected: ResultRows) -> None:
+    """Every column of two row sets equal, every time and place element for element."""
+    assert len(rows) == len(expected)
+    assert rows.categories == expected.categories
+    assert rows.names == expected.names
+    assert rows.nations == expected.nations
+    assert rows.places.dtype == np.int64 and np.array_equal(rows.places, expected.places)
+    assert rows.times.dtype == np.float64 and rows.times.shape == (6, len(expected))
+    assert np.array_equal(rows.times, expected.times)

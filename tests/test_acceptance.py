@@ -31,6 +31,8 @@ import numpy as np
 from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_BIKE, TABLE1_RUN, TABLE1_SWIM
 from helpers import oracle_pearson, oracle_step
 from tripace.archive import (
+    TIME_COLUMNS,
+    Archive,
     ResultRecord,
     extend_archive,
     load_archive,
@@ -285,13 +287,13 @@ def test_criterion_7_round_trip_and_invariant_suites(tmp_path):
                     overall=swim + t1 + bike + t2 + run_min,
                 )
             )
-        write_archive_csv(records, path)
+        write_archive_csv(Archive.from_records("roundtrip", "M", records), path)
         reloaded, skipped = load_archive(path)
         writeback_ok &= not skipped and len(reloaded) == len(records)
-        for before, after in zip(records, reloaded):
-            for name in ("swim", "t1", "bike", "t2", "run", "overall"):
-                writeback_ok &= abs(getattr(after, name) - getattr(before, name)) <= 5e-7
-            writeback_ok &= after.athlete_name == before.athlete_name
+        for before, name, after in zip(records, reloaded.names, reloaded.times.T.tolist()):
+            for column, value in zip(TIME_COLUMNS, after):
+                writeback_ok &= abs(value - getattr(before, column)) <= 5e-7
+            writeback_ok &= name == before.athlete_name
             writeback_cases += 1
 
     # extend_archive size and immutability, 1000 cases

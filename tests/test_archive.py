@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
-from helpers import oracle_pearson
+from helpers import (
+    assert_same_rows,
+    oracle_pearson,
+    reference_load_archive,
+    reference_write_archive_csv,
+    rows_from_records,
+)
+from test_cli_fuzz import csv_texts, json_texts
+from tripace import archive as archive_module
 from tripace.archive import (
     CSV_COLUMNS,
     MAX_PLACE,
@@ -128,26 +139,31 @@ class TestArchiveInvariants:
 
 class TestLoadCsv:
     def test_reference_rows(self, table1_csv):
-        records, skipped = load_archive(table1_csv)
-        assert len(records) == 5
+        rows, skipped = load_archive(table1_csv)
+        assert len(rows) == 5
         assert skipped == []
-        assert records[0].athlete_name == "Guy Crawford"
-        assert records[0].bike == pytest.approx(102.63)
-        assert records[0].overall == pytest.approx(211.93)
+        assert rows.names == tuple(row[0] for row in TABLE1_ROWS)
+        assert rows.categories == ("PRO-M",) * 5
+        assert rows.places.tolist() == [1, 2, 3, 4, 5]
+        assert rows.times[TIME_COLUMNS.index("bike"), 0] == 102.63
+        assert rows.times[TIME_COLUMNS.index("overall"), 0] == 211.93
+        assert rows.times.shape == (6, 5)
 
-    def test_byte_order_mark_accepted(self, tmp_path, table1_records):
+    def test_byte_order_mark_accepted(self, tmp_path, table1_rows):
         path = tmp_path / "bom.csv"
         path.write_text(table1_csv_text(), encoding="utf-8-sig")
-        assert load_archive(path) == (table1_records, [])
+        rows, skipped = load_archive(path)
+        assert skipped == []
+        assert_same_rows(rows, table1_rows)
 
-    def test_place_beyond_the_largest_skipped(self, tmp_path, table1_records):
+    def test_place_beyond_the_largest_skipped(self, tmp_path, table1_rows):
         # an archive keeps places as int64, which cannot hold this one
         path = tmp_path / "far.csv"
         path.write_text(table1_csv_text() + f"Far,-,PRO-M,{10**20},1,1,1,1,1,5\n")
-        records, skipped = load_archive(path)
-        assert records == table1_records
+        rows, skipped = load_archive(path)
+        assert_same_rows(rows, table1_rows)
         assert skipped == [f"far.csv row 7: finish place must be at most {MAX_PLACE}, got {10**20}"]
-        assert len(select_group(records, "PRO-M", 30)) == 5
+        assert len(select_group(rows, "PRO-M", 30)) == 5
 
     def test_header_only_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -266,22 +282,24 @@ class TestLoadCsv:
 
 
 class TestLoadJson:
-    def test_equivalent_to_csv(self, tmp_path, table1_records):
+    def test_equivalent_to_csv(self, tmp_path, table1_rows):
         payload = [
             dict(zip(("name", "nation", "category", "place", "swim", "t1", "bike", "t2", "run", "overall"), row))
             for row in TABLE1_ROWS
         ]
         path = tmp_path / "taiwan.json"
         path.write_text(json.dumps(payload))
-        records, skipped = load_archive(path)
+        rows, skipped = load_archive(path)
         assert skipped == []
-        assert records == table1_records
+        assert_same_rows(rows, table1_rows)
 
-    def test_byte_order_mark_accepted(self, tmp_path, table1_records):
+    def test_byte_order_mark_accepted(self, tmp_path, table1_rows):
         payload = [dict(zip(CSV_COLUMNS, row)) for row in TABLE1_ROWS]
         path = tmp_path / "bom.json"
         path.write_text(json.dumps(payload), encoding="utf-8-sig")
-        assert load_archive(path) == (table1_records, [])
+        rows, skipped = load_archive(path)
+        assert skipped == []
+        assert_same_rows(rows, table1_rows)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -317,50 +335,72 @@ class TestLoadJson:
 
 
 class TestWriteBack:
-    def test_round_trip_identity(self, tmp_path, table1_records):
+    def test_round_trip_identity(self, tmp_path, table1_archive):
         path = tmp_path / "back.csv"
-        write_archive_csv(table1_records, path)
+        write_archive_csv(table1_archive, path)
         reloaded, skipped = load_archive(path)
         assert skipped == []
-        for before, after in zip(table1_records, reloaded):
-            assert after.athlete_name == before.athlete_name
-            assert after.nation == before.nation
-            assert after.category == before.category
-            assert after.finish_place == before.finish_place
-            for name in ("swim", "t1", "bike", "t2", "run", "overall"):
-                assert getattr(after, name) == pytest.approx(getattr(before, name), abs=5e-7)
+        assert reloaded.names == table1_archive.names
+        assert reloaded.nations == table1_archive.nations
+        assert reloaded.categories == (table1_archive.group,) * len(table1_archive)
+        assert np.array_equal(reloaded.places, table1_archive.places)
+        assert np.abs(reloaded.times - table1_archive.times).max() <= 5e-7
+
+    def test_writes_the_columns_as_rows(self, tmp_path, table1_archive):
+        path = tmp_path / "back.csv"
+        write_archive_csv(table1_archive, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert lines[1] == (
+            "Guy Crawford,NZL,PRO-M,1,24.000000,2.100000,102.630000,1.800000,81.400000,211.930000"
+        )
+        assert len(lines) == 6
 
 
 class TestSelectGroup:
-    def test_reference_selection(self, table1_records):
-        archive = select_group(table1_records, "PRO-M", 5, label="taiwan2015")
+    def test_reference_selection(self, table1_rows):
+        archive = select_group(table1_rows, "PRO-M", 5, label="taiwan2015")
         assert len(archive) == 5
-        assert [r.athlete_name for r in archive.records] == [row[0] for row in TABLE1_ROWS]
+        assert archive.names == tuple(row[0] for row in TABLE1_ROWS)
+        assert np.array_equal(archive.times, table1_rows.times)
 
-    def test_top_n_below_minimum(self, table1_records):
+    def test_top_n_below_minimum(self, table1_rows):
         with pytest.raises(ArchiveError, match="top_n"):
-            select_group(table1_records, "PRO-M", 2)
+            select_group(table1_rows, "PRO-M", 2)
 
-    def test_too_few_matches(self, table1_records):
+    def test_too_few_matches(self, table1_rows):
         with pytest.raises(ArchiveError, match="PRO-W"):
-            select_group(table1_records, "PRO-W", 5)
+            select_group(table1_rows, "PRO-W", 5)
 
     def test_truncation_noop_when_group_smaller(self):
         records = [make_record(place=i, category="A" if i % 3 == 0 else "B") for i in range(1, 31)]
-        archive = select_group(records, "A", 30)
+        archive = select_group(rows_from_records(records), "A", 30)
         assert len(archive) == 10
+        assert archive.places.tolist() == list(range(3, 31, 3))
 
-    def test_idempotent(self, table1_records):
-        once = select_group(table1_records, "PRO-M", 4)
-        twice = select_group(list(once.records), "PRO-M", 4)
-        assert once.records == twice.records
-        assert once.group == twice.group
+    def test_idempotent(self, table1_rows):
+        once = select_group(table1_rows, "PRO-M", 4)
+        twice = select_group(rows_from_records(once.records), "PRO-M", 4)
+        assert_same_archive(once, twice)
 
-    def test_sorts_by_place(self, table1_records):
-        shuffled = list(reversed(table1_records))
+    def test_sorts_by_place(self, table1_archive):
+        shuffled = rows_from_records(reversed(table1_archive.records))
         archive = select_group(shuffled, "PRO-M", 5)
-        places = [r.finish_place for r in archive.records]
-        assert places == sorted(places)
+        assert archive.places.tolist() == [1, 2, 3, 4, 5]
+        assert archive.names == tuple(row[0] for row in TABLE1_ROWS)
+
+    def test_equal_places_keep_file_order(self):
+        # the sort is stable: of two rows placed 3rd, the top 3 keep the one read first
+        for first, second in ((30.0, 31.0), (31.0, 30.0)):
+            records = [
+                make_record(3, "A", swim=first),
+                make_record(1, "A"),
+                make_record(3, "A", swim=second),
+                make_record(2, "A"),
+            ]
+            archive = select_group(rows_from_records(records), "A", 3)
+            assert archive.places.tolist() == [1, 2, 3]
+            assert archive.swim_column()[2] == first
 
 
 class TestExtendArchive:
@@ -511,14 +551,19 @@ def record_batches(draw):
 @given(records=record_batches())
 @settings(max_examples=60, deadline=None)
 def test_write_back_identity_property(records, tmp_path_factory):
-    path = tmp_path_factory.mktemp("wb") / "archive.csv"
-    write_archive_csv(records, path)
+    folder = tmp_path_factory.mktemp("wb")
+    path, expected = folder / "archive.csv", folder / "records.csv"
+    write_archive_csv(Archive.from_records("prop", "M25-29", records), path)
+    reference_write_archive_csv(records, expected)
+    assert path.read_bytes() == expected.read_bytes()
     reloaded, skipped = load_archive(path)
     assert skipped == []
     assert len(reloaded) == len(records)
-    for before, after in zip(records, reloaded):
-        for name in ("swim", "t1", "bike", "t2", "run", "overall"):
-            assert abs(getattr(after, name) - getattr(before, name)) <= 5e-7
+    assert reloaded.names == tuple(r.athlete_name for r in records)
+    assert reloaded.places.tolist() == [r.finish_place for r in records]
+    for before, after in zip(records, reloaded.times.T.tolist()):
+        for name, value in zip(TIME_COLUMNS, after):
+            assert abs(value - getattr(before, name)) <= 5e-7
 
 
 @given(records=record_batches(), prediction=st.tuples(*[times] * 5))
@@ -542,3 +587,81 @@ def test_columnar_layout_property(records, prediction):
     assert np.array_equal(extended.times[:, :-1], columns)
     for column in extended.times:
         assert column.flags.c_contiguous and not column.flags.writeable
+
+
+# Cells a per-row load reads differently from the common case: padded and
+# signed places, digit separators and non-ASCII digits, huge hours, seconds
+# just below 60, zero times, and quoted cells spanning lines.
+EDGE_PLACES = [" 1 ", "+5", "1_000", "\u0661", "\uff17", "0", "-3", str(10**20), "07", ""]
+EDGE_TIMES = [
+    " 24.00", "24.00 ", "\u0662\u0664.00", "0:24:00", "24:00", "1:59:59.999", "59.999",
+    "9" * 400 + ":00:00", "9" * 400, "0", "0:00", "60:00", "1:60:00", "DNF", "", '"24\n.00"',
+]
+
+# Rows whose every time reads, so that only the record rules decide: a zero
+# split, overalls at the slack's edge, tiny splits with a zero overall, and
+# splits near the largest float.
+EDGE_ROWS = [
+    "Zero Split,SLO,PRO-M,6,24.00,0:00,100.00,2.00,80.00,206.00",
+    "Slack Out,SLO,PRO-M,7,24.00,2.00,100.00,2.00,80.00,208.05",
+    "Slack In,SLO,PRO-M,8,24.00,2.00,100.00,2.00,80.00,208.04",
+    "Tiny,SLO,PRO-M,9,0.001,0.001,0.001,0.001,0.001,0",
+    "Huge,SLO,PRO-M,10," + ",".join(["3" + "0" * 307] * 5) + ",15" + "0" * 307,
+]
+
+
+@st.composite
+def edge_csv_texts(draw):
+    """The reference rows with edge cells put in, ragged, blank and multi-line
+    rows between them, and a row repeated so that it spans several blocks."""
+    lines = [",".join(CSV_COLUMNS)]
+    for fields in draw(st.permutations(TABLE1_ROWS)) * draw(st.integers(1, 3)):
+        cells = [str(f) for f in fields]
+        for _ in range(draw(st.integers(0, 2))):
+            column = draw(st.integers(3, 9))
+            cells[column] = draw(st.sampled_from(EDGE_PLACES if column == 3 else EDGE_TIMES))
+        if draw(st.booleans()):
+            cells[0] = draw(st.sampled_from(['"Two\nLines"', '" padded "', '"a,b"']))
+        lines.append(",".join(cells))
+        extra = draw(
+            st.sampled_from([None, None, None, "", ",,,,,,,,,", "x,y", ",,,,,,,,,,stray", *EDGE_ROWS])
+        )
+        if extra is not None:
+            lines.append(extra)
+    return "\n".join(lines) + "\n"
+
+
+def load_outcome(load, path):
+    """What ``load`` gives for ``path``: its rows as columns and the skipped
+    list, or the type and message of what it raised."""
+    try:
+        rows, skipped = load(path)
+    except Exception as exc:  # compared across the two loaders, never swallowed
+        return type(exc), str(exc)
+    if isinstance(rows, list):
+        rows = rows_from_records(rows)
+    return rows, skipped
+
+
+@given(
+    archive=st.one_of(
+        st.tuples(st.just(".csv"), csv_texts() | edge_csv_texts()),
+        st.tuples(st.just(".json"), json_texts()),
+    ),
+    block=st.sampled_from([1, 2, 3, 7, 1024]),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_archive_matches_the_per_row_loader(archive, block):
+    suffix, text = archive
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"results{suffix}"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(archive_module, "_BLOCK_ROWS", block):
+            got = load_outcome(load_archive, path)
+        expected = load_outcome(reference_load_archive, path)
+    if isinstance(expected[0], type):
+        assert got == expected
+    else:
+        assert not isinstance(got[0], type), got
+        assert_same_rows(got[0], expected[0])
+        assert got[1] == expected[1]

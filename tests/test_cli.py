@@ -421,6 +421,19 @@ class TestPredictCommand:
         note = "Mean row infeasible: correlation sum 0.237962 -> 0.234311\n"
         assert capsys.readouterr().err == note
 
+    def test_mean_row_drop_below_six_decimals_is_shown(self, capsys):
+        # the benchmark's predict_field call at seed 10: on 10 000 rows the
+        # Mean row lowers the sum by 3.6e-7, which six decimals do not show
+        spec = json.dumps({
+            "seed": 1994872985, "size": 10_000, "r_swim_bike": 0.6, "r_bike_run": 0.2,
+            "means": [34.0, 3.5, 167.0, 3.5, 92.0], "spreads": [2.0, 0.7, 4.0, 0.7, 5.0],
+            "label": "field", "group": "ALL",
+        })
+        argv = ["predict", "--synth-spec", spec, "--runs", "2", "--seed", "10", "--output", "json"]
+        assert main(argv) == 0
+        note = "Mean row infeasible: correlation sum 0.7971750 -> 0.7971746\n"
+        assert capsys.readouterr().err == note
+
     def test_reference_mean_row_is_not_noted(self, capsys):
         assert main(["predict", "--synth-spec", high_spec_json(), "--seed", "10"]) == 0
         assert capsys.readouterr().err == ""

@@ -4,12 +4,17 @@ The reference synthetic archive (spec seed 1, 30 rows, r = (0.73, 0.0)) is
 predicted five times at ``--seed 10`` with the default swarm (NP 50,
 10 000 evaluations, c1 = c2 = 2, ceiling 300), and each report format is
 compared byte for byte with a file under ``tests/golden/``.  The benchmark's
-``predict_field`` call (a 10 000-row synthetic archive, 2 runs, JSON) is
-checked at ``--seed 10`` by the SHA-256 of its stdout, against
-``perfbench/golden.json``.  A change that moves a single byte of these
-reports changes behaviour.
+``predict_field`` call (a 10 000-row synthetic archive, 2 runs, JSON) and
+its ``load_correlate`` call (``correlate`` on a 10 000-row result file with
+200 DNF rows) are checked at seed 10 by the SHA-256 of their stdout, against
+``perfbench/golden.json``; the 200 skipped-row lines that ``load_correlate``
+prints on stderr are compared byte for byte with
+``tests/golden/load_correlate_seed10.stderr``.  The ``synth`` files of the
+reference spec and of the benchmark's whole-field spec are pinned by their
+SHA-256.  A change that moves a single byte of these outputs changes
+behaviour.
 
-To regenerate the files after an intended behaviour change::
+To regenerate the report files after an intended behaviour change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,11 +26,13 @@ import importlib.util
 import io
 import json
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from helpers import assert_same_rows, reference_load_archive, rows_from_records
+from tripace.archive import load_archive
 from tripace.cli import main
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -43,10 +50,17 @@ REFERENCE_SPEC = {
 
 FORMATS = {"text": "txt", "csv": "csv", "json": "json"}
 
+# SHA-256 of the file ``tripace synth`` writes for the reference spec and for
+# the benchmark's whole-field spec at seed 10.
+SYNTH_HASHES = {
+    "reference": "c29a137d35945afb002d0ea5a2ce451d62e994e5bb0af4af9e41782fb1e42de3",
+    "field": "18a50af1828c6099ca80f393430b740dc7900dbe642f46ed2e55bf7226e6302a",
+}
+
 
 def render(output: str) -> str:
     """The stdout of the reference ``predict`` call in one report format."""
-    return predict_stdout([
+    return cli_stdout([
         "predict",
         "--synth-spec", json.dumps(REFERENCE_SPEC),
         "--runs", "5",
@@ -55,12 +69,28 @@ def render(output: str) -> str:
     ])
 
 
-def predict_stdout(argv: list[str]) -> str:
+def cli_stdout(argv: list[str]) -> str:
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = main(argv)
     assert code == 0
     return buffer.getvalue()
+
+
+@pytest.fixture
+def bench_inputs(monkeypatch):
+    """The benchmark's input generator, ``perfbench/inputs.py``."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under perfbench/
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCHMARK_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclass looks itself up there
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def benchmark_hash(workload: str) -> str:
+    hashes = json.loads(BENCHMARK_HASHES.read_text(encoding="utf-8"))
+    return hashes[workload]["10"]
 
 
 def golden_path(output: str) -> Path:
@@ -80,16 +110,11 @@ def test_benchmark_hash_matches_golden_file():
     assert digest == hashes["predict_ref"]["10"]
 
 
-def test_field_report_matches_benchmark_hash(monkeypatch):
+def test_field_report_matches_benchmark_hash(bench_inputs):
     # the benchmark's predict_field call, with the spec its input generator makes
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under perfbench/
-    spec = importlib.util.spec_from_file_location("bench_inputs", BENCHMARK_INPUTS)
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclass looks itself up there
-    spec.loader.exec_module(inputs)
-    out = predict_stdout([
+    out = cli_stdout([
         "predict",
-        "--synth-spec", json.dumps(inputs.field_spec(10)),
+        "--synth-spec", json.dumps(bench_inputs.field_spec(10)),
         "--runs", "2",
         "--seed", "10",
         "--np", "50",
@@ -98,8 +123,44 @@ def test_field_report_matches_benchmark_hash(monkeypatch):
         "--output", "json",
     ])
     assert json.loads(out)["archive"]["size"] == 10_000
-    hashes = json.loads(BENCHMARK_HASHES.read_text(encoding="utf-8"))
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == hashes["predict_field"]["10"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == benchmark_hash("predict_field")
+
+
+def result_file(bench_inputs, folder: Path) -> Path:
+    """The benchmark's load_correlate input at seed 10, named as it names it."""
+    path = folder / "results-10.csv"
+    path.write_text(bench_inputs.result_csv(10).text, encoding="utf-8")
+    return path
+
+
+def test_correlate_report_matches_benchmark_hash(bench_inputs, tmp_path):
+    # the benchmark's load_correlate call; its stderr names every skipped DNF row
+    path = result_file(bench_inputs, tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["correlate", "--archive", str(path), "--group", "25-29", "--top-n", "30"])
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == benchmark_hash("load_correlate")
+    expected = (GOLDEN_DIR / "load_correlate_seed10.stderr").read_bytes()
+    assert err.getvalue().encode("utf-8") == expected
+
+
+def test_result_file_loads_as_the_per_row_loader_does(bench_inputs, tmp_path):
+    path = result_file(bench_inputs, tmp_path)
+    rows, skipped = load_archive(path)
+    records, expected_skipped = reference_load_archive(path)
+    assert (len(rows), len(skipped)) == (9_800, 200)
+    assert skipped == expected_skipped
+    assert_same_rows(rows, rows_from_records(records))
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_HASHES))
+def test_synth_file_bytes(name, bench_inputs, tmp_path):
+    spec = REFERENCE_SPEC if name == "reference" else bench_inputs.field_spec(10)
+    out = tmp_path / "synth.csv"
+    cli_stdout(["synth", "--synth-spec", json.dumps(spec), "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYNTH_HASHES[name]
 
 
 if __name__ == "__main__":

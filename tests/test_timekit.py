@@ -1,8 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tripace.timekit import DurationParseError, format_split, parse_duration
+from helpers import reference_parse_duration
+from tripace.timekit import DurationParseError, format_split, parse_duration, parse_durations
 
 
 class TestParse:
@@ -139,3 +143,68 @@ def test_round_trip_property(minutes, style):
     expected = "hms" if int(minutes * 6000.0 + 0.5) >= 360000 else style
     assert text.count(":") == COLONS[expected]
     assert abs(parse_duration(text) - minutes) <= 1.0 / 12000.0 + 1e-9
+
+
+# Time strings near and inside the grammars: digit runs of every length that
+# matters, colons, points, padding, signs, non-ASCII digits, line breaks and
+# digits too long for a float, glued together in any order.
+PIECES = [
+    "0", "1", "5", "9", "00", "05", "59", "60", "99", "123", "59.999", "60.0",
+    ":", ".", " ", "\t", "\n", "-", "+", "_", "e", "DNF", "\u0663", "\uff15",
+    "9" * 400, "9" * 40,
+]
+# Colon-separated fields of one to three digits with a fraction or none:
+# every grammar, and each field one step out of its range.
+clock_texts = st.builds(
+    lambda fields, fraction: ":".join(fields) + fraction,
+    st.lists(
+        st.sampled_from(["0", "5", "00", "07", "59", "60", "61", "99", "123"]), min_size=1, max_size=4
+    ),
+    st.sampled_from(["", ".5", ".999", ".9999999999999999", ".", ".0001"]),
+)
+duration_texts = st.one_of(
+    clock_texts,
+    st.lists(st.sampled_from(PIECES), max_size=7).map("".join),
+    st.text(max_size=10),
+    st.floats(0.0, 6000.0).map(format_split),
+    st.floats(0.0, 6000.0).map(lambda m: f"{m:.2f}"),
+)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text).hex()
+    except DurationParseError as exc:
+        return str(exc)
+
+
+@given(text=duration_texts)
+@settings(max_examples=600, deadline=None)
+@example(text="1:59:59.999")
+@example(text="9" * 400 + ":00:00")
+@example(text=" 24.00 ")
+@example(text="\u0662\u0664.00")
+def test_one_regex_parses_as_the_three_grammars_did(text):
+    assert outcome(parse_duration, text) == outcome(reference_parse_duration, text)
+
+
+@given(texts=st.lists(duration_texts, max_size=12))
+@settings(max_examples=400, deadline=None)
+@example(texts=["24.00"])
+@example(texts=["DNF"])
+@example(texts=["0:24:00", "24.00", "24:00", "x", "", "1:59:59.999", "9" * 400])
+@example(texts=["60:00", "1:60:00", "0:60", "1:00:60", "59:59.9999999999999999"])
+def test_column_path_gives_parse_duration_bits_or_falls_back(texts):
+    values = parse_durations(texts)
+    assert values.dtype == np.float64 and values.shape == (len(texts),)
+    for text, value in zip(texts, values.tolist()):
+        try:
+            expected = parse_duration(text)
+        except DurationParseError:
+            assert math.isnan(value), text
+            continue
+        if text == text.strip() and text.isascii():
+            # the common case: read by the column path, to the bit
+            assert value.hex() == expected.hex(), text
+        else:
+            assert math.isnan(value) or value.hex() == expected.hex(), text
