@@ -9,12 +9,14 @@ builds an archive from its draws with a few numpy calls, and extending an
 archive appends one column.  Its rules are checked once per archive, on
 whole columns.  Loading accepts the CSV/JSON exports described in the
 README and keeps their rows by column too (:class:`ResultRows`): it reads a
-block of rows at a time, parses each time column of the block in one pass
-and checks the rules of :class:`ResultRecord` on whole columns, so a row
-that passes costs no record of its own.  Rows that fail basic sanity checks
-(splits not positive, overall not matching the split sum) are skipped and
-reported rather than aborting the load, since public race exports
-routinely contain DNF/DSQ rows.  The split
+block of rows at a time straight from the CSV reader, parses each time
+column of the block in one pass that checks the time grammars on the
+column's bytes, and checks the rules of :class:`ResultRecord` on whole
+columns, so a row that passes costs no record of its own.  Rows that fail
+basic sanity checks (splits not positive, overall not matching the split
+sum) are skipped and reported rather than aborting the load, since public
+race exports routinely contain DNF/DSQ rows; a blank CSV row fails them
+too, and is dropped without a word.  The split
 schema, the five disciplines in race order and the vector of their times,
 lives here, below the model that predicts splits, and so does the synthesis
 spec: its keys are the parameters of :func:`synthesize_archive`.
@@ -273,33 +275,27 @@ def _row_dict(header: Sequence[str], row: list[str] | ArchiveError) -> dict | Ar
 
 
 class _Block(NamedTuple):
-    """Up to ``_BLOCK_ROWS`` consecutive non-blank rows of a result file.
+    """Up to ``_BLOCK_ROWS`` consecutive rows of a result file.
 
     ``numbers`` names each row by its CSV line or JSON entry number.  A row
     is a list of its fields in the order of ``header``, or the
-    :class:`ArchiveError` of a CSV row the csv module could not read.
+    :class:`ArchiveError` of a CSV row the csv module could not read.  A
+    CSV block may hold blank rows, with no field but whitespace, which are
+    no rows of the file: ``drops_blank`` says to drop them without a word.
     """
 
     header: Sequence[str]
-    numbers: tuple[int, ...]
-    rows: tuple[list[str] | ArchiveError, ...]
-
-
-def _blocks(
-    header: Sequence[str], rows: Iterator[tuple[int, list[str] | ArchiveError]]
-) -> Iterator[_Block]:
-    while chunk := list(islice(rows, _BLOCK_ROWS)):
-        numbers, fields = zip(*chunk)
-        yield _Block(header, numbers, fields)
+    numbers: Sequence[int]
+    rows: Sequence[list[str] | ArchiveError]
+    drops_blank: bool
 
 
 def _csv_blocks(path: Path) -> Iterator[_Block]:
-    """The non-blank rows of a CSV file in blocks, each row with the file line
-    it ends on.
+    """The rows of a CSV file in blocks, each row with the file line it ends on.
 
     A row the csv module cannot read, such as one with a field over
-    ``csv.field_size_limit()``, comes as an :class:`ArchiveError`; the reader
-    resumes at the next line.  An unreadable header raises it.
+    ``csv.field_size_limit()``, ends its block as an :class:`ArchiveError`;
+    the next block resumes at the next line.  An unreadable header raises it.
     """
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -311,19 +307,19 @@ def _csv_blocks(path: Path) -> Iterator[_Block]:
         if header is None:
             raise ArchiveError(f"{path}: missing header row")
         _check_columns(header, path)
-        yield from _blocks(header, _csv_rows(reader))
-
-
-def _csv_rows(reader) -> Iterator[tuple[int, list[str] | ArchiveError]]:
-    """The rows of ``reader`` with a non-blank field, each with its line."""
-    while True:
-        try:
-            for fields in reader:
-                if any(map(str.strip, fields)):
-                    yield reader.line_num, fields
-            return
-        except csv.Error as exc:
-            yield reader.line_num, ArchiveError(str(exc))
+        while True:
+            numbers: list[int] = []
+            rows: list[list[str] | ArchiveError] = []
+            try:
+                for fields in islice(reader, _BLOCK_ROWS):
+                    rows.append(fields)
+                    numbers.append(reader.line_num)
+            except csv.Error as exc:
+                rows.append(ArchiveError(str(exc)))
+                numbers.append(reader.line_num)
+            if not rows:
+                return
+            yield _Block(header, numbers, rows, drops_blank=True)
 
 
 def _json_blocks(path: Path) -> Iterator[_Block]:
@@ -336,15 +332,14 @@ def _json_blocks(path: Path) -> Iterator[_Block]:
             raise ArchiveError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(payload, list):
         raise ArchiveError(f"{path}: expected a JSON array of result objects")
-
-    def entries() -> Iterator[tuple[int, list[str]]]:
-        for i, entry in enumerate(payload, start=1):
+    for start in range(0, len(payload), _BLOCK_ROWS):
+        rows = []
+        for i, entry in enumerate(payload[start:start + _BLOCK_ROWS], start=start + 1):
             if not isinstance(entry, dict):
                 raise ArchiveError(f"{path}: entry {i} is not a result object: {entry!r}")
             _check_columns(entry.keys(), path)
-            yield i, [str(entry[key]) for key in CSV_COLUMNS]
-
-    yield from _blocks(CSV_COLUMNS, entries())
+            rows.append([str(entry[key]) for key in CSV_COLUMNS])
+        yield _Block(CSV_COLUMNS, range(start + 1, start + 1 + len(rows)), rows, drops_blank=False)
 
 
 def _check_columns(names: Iterable[str], path: Path) -> None:
@@ -382,7 +377,8 @@ def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
     """The rows of ``block`` that :class:`ResultRecord` accepts, by column.
 
     Every column is parsed in one pass and the record rules are checked on
-    whole columns.  Only a row that fails them goes through
+    whole columns.  Only a row that fails them goes on: a blank row of a
+    block that ``drops_blank`` is dropped, and any other goes through
     :func:`_record_from_row`, which keeps it after all or appends its
     message to ``skipped``, so the kept rows and the messages are the ones a
     per-row load gives.
@@ -405,6 +401,8 @@ def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
         )
     for i in np.flatnonzero(~kept).tolist():  # in file order
         row = block.rows[i]
+        if block.drops_blank and type(row) is list and not any(map(str.strip, row)):
+            continue  # a blank line reads as no time, so it is never kept
         try:
             record = _record_from_row(_row_dict(block.header, row))
         except ArchiveError as exc:
@@ -433,8 +431,10 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
     naming the row by its line in a CSV file (the line it ends on) or its
     entry number in a JSON array.  The file is read and parsed
     ``_BLOCK_ROWS`` rows at a time, each time column of a block in one
-    :func:`~tripace.timekit.parse_durations` pass, so no row costs a record
-    or a dict of its own unless it fails a check.  Raises
+    :func:`~tripace.timekit.parse_durations` pass that checks the time
+    grammars on the column's bytes, so no row costs a record or a dict of
+    its own unless it fails a check.  A CSV row with no field but
+    whitespace fails one, and is dropped there without a message.  Raises
     :class:`ArchiveError` for structural problems: unreadable file or
     header, JSON nested too deeply to parse, unknown or missing columns, or
     zero parseable rows.
@@ -619,7 +619,7 @@ def synthesize_archive(
                 label,
                 group,
                 np.arange(1, size + 1),
-                tuple(f"SYN-{place:03d}" for place in range(1, size + 1)),
+                tuple(map("SYN-%03d".__mod__, range(1, size + 1))),
                 ("SYN",) * size,
                 np.vstack((swim, t1, bike, t2, run, totals))[:, order],
             )

@@ -8,10 +8,13 @@ reads three grammars, told apart by colon count:
 * one colon  -- ``m:ss[.ss]``, minutes below 60
 * none       -- a bare non-negative number of minutes, e.g. ``102.63``
 
-The three are written down once, as one regex.  :func:`parse_durations`
-reads a whole column of such strings per call, to the same floats, and
-leaves to :func:`parse_duration` the strings it does not read, so a result
-file's common row costs no call per cell.
+:func:`parse_duration` reads them with one regex of the three.
+:func:`parse_durations` reads a whole column of such strings per call, to
+the same floats, with no regex: it checks the grammars on the column's
+bytes, a few numpy passes over all of them at once, and leaves to
+:func:`parse_duration` the strings it does not read, so a result file's
+common row costs no call per cell.  The byte rules state the grammars a
+second time; the tests hold the two statements to the same strings.
 
 :func:`format_split` renders the split cells of a report, in the first
 grammar from an hour up and in the second below, so every rendered split
@@ -29,12 +32,10 @@ import numpy as np
 # The three grammars in one pattern: h:mm:ss[.ss] (hours, then minutes
 # checked for two digits by the lookahead) and m:ss[.ss] share the minutes
 # and seconds groups, and a bare decimal has a group of its own.
-_GRAMMAR = r"(?:(\d+):(?=\d\d:))?(\d{1,2}):(\d\d(?:\.\d+)?)|(\d+(?:\.\d+)?)"
-_DURATION_RE = re.compile(_GRAMMAR)
+_DURATION_RE = re.compile(r"(?:(\d+):(?=\d\d:))?(\d{1,2}):(\d\d(?:\.\d+)?)|(\d+(?:\.\d+)?)")
 
-# A line of a column that the grammar does not read, ASCII digits only, so
-# every line left over holds only digits, points and colons.
-_UNREAD_LINE = re.compile(rf"^(?!(?:{_GRAMMAR})$).*$", re.ASCII | re.MULTILINE)
+# The bytes of a column that end a field or split one.
+_NEWLINE, _COLON, _POINT = b"\n:."
 
 
 class DurationParseError(ValueError):
@@ -95,9 +96,13 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     strings to :func:`parse_duration`, which reads them or says what is
     wrong.
 
-    The column is parsed as one text: a regex pass turns each unread line
-    into ``nan``, and every line left splits at its colons into fields that
-    one float conversion reads.
+    The column is checked as one text, on its bytes.  Every byte that is
+    not a digit is a mark: a colon, a point, a line end or any other byte,
+    a non-ASCII character among them.  Each mark is checked against the
+    grammars from its neighbours and the digits before it, all marks at
+    once; a string is read when none of its marks breaks a rule.  The fields
+    of the strings that are not become ``nan``, and one float conversion
+    reads every field.
     """
     n = len(texts)
     if not n:
@@ -105,18 +110,46 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     joined = "\n".join(texts)
     if joined.count("\n") != n - 1:  # a string that spans lines is not read here
         joined = "\n".join("" if "\n" in t else t for t in texts)
-    joined = _UNREAD_LINE.sub("nan", joined)
-    fields = np.array(joined.replace(":", "\n").split("\n"), dtype=np.float64)
-    text = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-    colons = np.bincount(np.cumsum(text == ord("\n"))[text == ord(":")], minlength=n)
-    last = np.cumsum(colons + 1) - 1  # each string's last field: its seconds or decimal
+    # One byte per character: a non-ASCII one becomes a "?", which no grammar
+    # reads.  With a closing line end, every string ends at one.
+    text = np.frombuffer((joined + "\n").encode("ascii", "replace"), dtype=np.uint8)
+    # every byte but a digit is a mark; uint8 bytes below "0" wrap round past 9
+    at = ((text - ord("0")) > 9).nonzero()[0]
+    mark = text[at]
+    digits = at - np.concatenate(([-1], at[:-1])) - 1  # the run of digits before each mark
+    newline = mark == _NEWLINE
+    colon = mark == _COLON
+    point = mark == _POINT
+    before = np.concatenate(([_NEWLINE], mark[:-1]))
+    after = np.concatenate((mark[1:], [_NEWLINE]))
+    hours_end = colon & (after == _COLON)
+    last_colon = colon & ~hours_end
+    # a string is read when none of its marks breaks a rule of the grammars
+    broken = (
+        (digits == 0)  # every field holds digits, and so does each side of a point
+        | ~(newline | colon | point)  # and nothing else
+        | point & (after != _NEWLINE)  # a point sits in the last field, once
+        | hours_end & (before != _NEWLINE)  # hours come first, so two colons at most
+        | colon & (before == _COLON) & (digits != 2)  # minutes after hours have two digits
+        # minutes have one or two digits, and seconds two before any point
+        | last_colon & ((digits > 2) | (np.concatenate((digits[1:], [0])) != 2))
+    )
+    ends = newline.nonzero()[0]  # the line end of each string
+    read = np.ones(n, dtype=bool)
+    read[ends.searchsorted(broken.nonzero()[0])] = False
+    last = (mark[newline | colon] == _NEWLINE).nonzero()[0]  # each string's last field
+    colons = last - np.concatenate(([-1], last[:-1])) - 1
+    parts = joined.replace(":", "\n").split("\n")
+    for i in np.repeat(~read, colons + 1).nonzero()[0].tolist():
+        parts[i] = "nan"
+    fields = np.array(parts, dtype=np.float64)
     seconds = fields[last]
     # clipped: before a string's first field lie another string's, or none
     minutes = np.where(colons > 0, fields.take(last - 1, mode="clip"), 0.0)
     hours = np.where(colons > 1, fields.take(last - 2, mode="clip"), 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.where(colons > 0, hours * 60.0 + minutes + seconds / 60.0, seconds)
-        read = np.isfinite(total) & (minutes < 60.0) & ((seconds < 60.0) | (colons == 0))
+        read &= np.isfinite(total) & (minutes < 60.0) & ((seconds < 60.0) | (colons == 0))
     return np.where(read, total, np.nan)
 
 

@@ -301,6 +301,16 @@ class TestLoadJson:
         assert skipped == []
         assert_same_rows(rows, table1_rows)
 
+    def test_blank_entry_skipped_with_message(self, tmp_path, table1_rows):
+        # unlike a blank CSV line, an entry of blank values is a row
+        payload = [dict(zip(CSV_COLUMNS, row)) for row in TABLE1_ROWS]
+        payload.insert(2, dict.fromkeys(CSV_COLUMNS, " "))
+        path = tmp_path / "blank.json"
+        path.write_text(json.dumps(payload))
+        rows, skipped = load_archive(path)
+        assert_same_rows(rows, table1_rows)
+        assert skipped == ["blank.json row 3: column 'swim': empty time string"]
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -609,11 +619,15 @@ EDGE_ROWS = [
     "Huge,SLO,PRO-M,10," + ",".join(["3" + "0" * 307] * 5) + ",15" + "0" * 307,
 ]
 
+# A row with a field the csv module refuses to read, which ends its block.
+OVERSIZED = "x" * (csv.field_size_limit() + 1)
+
 
 @st.composite
 def edge_csv_texts(draw):
-    """The reference rows with edge cells put in, ragged, blank and multi-line
-    rows between them, and a row repeated so that it spans several blocks."""
+    """The reference rows with edge cells put in, ragged, blank, multi-line
+    and unreadable rows between them, and a row repeated so that it spans
+    several blocks."""
     lines = [",".join(CSV_COLUMNS)]
     for fields in draw(st.permutations(TABLE1_ROWS)) * draw(st.integers(1, 3)):
         cells = [str(f) for f in fields]
@@ -624,7 +638,9 @@ def edge_csv_texts(draw):
             cells[0] = draw(st.sampled_from(['"Two\nLines"', '" padded "', '"a,b"']))
         lines.append(",".join(cells))
         extra = draw(
-            st.sampled_from([None, None, None, "", ",,,,,,,,,", "x,y", ",,,,,,,,,,stray", *EDGE_ROWS])
+            st.sampled_from(
+                [None, None, None, "", ",,,,,,,,,", "x,y", ",,,,,,,,,,stray", OVERSIZED, *EDGE_ROWS]
+            )
         )
         if extra is not None:
             lines.append(extra)

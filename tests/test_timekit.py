@@ -188,13 +188,10 @@ def test_one_regex_parses_as_the_three_grammars_did(text):
     assert outcome(parse_duration, text) == outcome(reference_parse_duration, text)
 
 
-@given(texts=st.lists(duration_texts, max_size=12))
-@settings(max_examples=400, deadline=None)
-@example(texts=["24.00"])
-@example(texts=["DNF"])
-@example(texts=["0:24:00", "24.00", "24:00", "x", "", "1:59:59.999", "9" * 400])
-@example(texts=["60:00", "1:60:00", "0:60", "1:00:60", "59:59.9999999999999999"])
-def test_column_path_gives_parse_duration_bits_or_falls_back(texts):
+def assert_column_path_contract(texts):
+    """Each value of ``parse_durations(texts)`` is the bits of ``parse_duration``
+    on its string, or NaN where that raises or the string needs stripping or
+    is not ASCII."""
     values = parse_durations(texts)
     assert values.dtype == np.float64 and values.shape == (len(texts),)
     for text, value in zip(texts, values.tolist()):
@@ -208,3 +205,48 @@ def test_column_path_gives_parse_duration_bits_or_falls_back(texts):
             assert value.hex() == expected.hex(), text
         else:
             assert math.isnan(value) or value.hex() == expected.hex(), text
+
+
+@given(texts=st.lists(duration_texts, max_size=12))
+@settings(max_examples=400, deadline=None)
+@example(texts=["24.00"])
+@example(texts=["DNF"])
+@example(texts=["0:24:00", "24.00", "24:00", "x", "", "1:59:59.999", "9" * 400])
+@example(texts=["60:00", "1:60:00", "0:60", "1:00:60", "59:59.9999999999999999"])
+def test_column_path_gives_parse_duration_bits_or_falls_back(texts):
+    assert_column_path_contract(texts)
+
+
+@st.composite
+def long_columns(draw):
+    """Columns of 500 to 3 000 strings, as long as a block of a result file,
+    each string taken from a drawn pool of time strings: drawn one by one,
+    columns this long overrun the input size Hypothesis allows."""
+    pool = draw(st.lists(duration_texts, min_size=1, max_size=40))
+    size = draw(st.integers(500, 3000))
+    rng = draw(st.randoms(use_true_random=False))
+    return [rng.choice(pool) for _ in range(size)]
+
+
+# The byte check of the column path sees every string beside others; the
+# examples put strings at the edges of its rules between strings it reads.
+@given(texts=long_columns())
+@settings(max_examples=100, deadline=None)
+@example(texts=["0:24:00", "\u0663", "24.00"])
+@example(texts=["0:24:00", "\ud800", "24.00"])
+@example(texts=["0:24:00", "1\r", "24.00"])
+@example(texts=["0:24:00", "5.", "24.00"])
+@example(texts=["0:24:00", ".5", "24.00"])
+@example(texts=["0:24:00", "1..2", "24.00"])
+@example(texts=["0:24:00", "1:2:3", "24.00"])
+@example(texts=["0:24:00", "12:34:", "24.00"])
+@example(texts=["0:24:00", ":", "24.00"])
+@example(texts=["0:24:00", "1:00:00:00", "24.00"])
+@example(texts=["0:24:00", "1:5.5:00", "24.00"])
+@example(texts=["0:24:00", "059:00", "24.00"])
+@example(texts=["0:24:00", "1.5:30", "24.00"])
+@example(texts=["0:24:00", "1:5:07", "24.00"])
+@example(texts=["0:24:00", "1:000", "24.00"])
+@example(texts=["0:24:00", "1e5", "24.00"])
+def test_column_path_contract_holds_on_long_columns(texts):
+    assert_column_path_contract(texts)
