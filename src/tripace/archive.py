@@ -6,20 +6,25 @@ judged.  It is stored by column: the six times of every row sit in one
 read-only (6, n) float64 array, one C-contiguous row per time column, so the
 correlation code reads a column without a copy, the synthetic generator
 builds an archive from its draws with a few numpy calls, and extending an
-archive appends one column.  Its rules are checked once per archive, on
-whole columns.  Loading accepts the CSV/JSON exports described in the
-README and keeps their rows by column too (:class:`ResultRows`): it reads a
-block of rows at a time straight from the CSV reader, parses each time
-column of the block in one pass that checks the time grammars on the
-column's bytes, and checks the rules of :class:`ResultRecord` on whole
-columns, so a row that passes costs no record of its own.  Rows that fail
-basic sanity checks (splits not positive, overall not matching the split
-sum) are skipped and reported rather than aborting the load, since public
-race exports routinely contain DNF/DSQ rows; a blank CSV row fails them
-too, and is dropped without a word.  The split
-schema, the five disciplines in race order and the vector of their times,
-lives here, below the model that predicts splits, and so does the synthesis
-spec: its keys are the parameters of :func:`synthesize_archive`.
+archive appends one column.
+
+The row rules are written once, in :func:`_row_faults`, and checked on
+whole columns: a finish place of at least 1, five strictly positive splits,
+and an overall within :data:`OVERALL_SLACK` of the split sum.  Every
+:class:`Archive` keeps them, and its places never decrease.  Loading
+accepts the CSV/JSON exports described in the README and keeps their rows
+by column too (:class:`ResultRows`): it reads a block of rows at a time
+straight from the CSV reader, parses each time column of the block in one
+pass that checks the time grammars on the column's bytes, and keeps the
+rows that the same check passes and whose places are at most
+:data:`MAX_PLACE`, a cap of result files only.  Rows that fail (splits not
+positive, overall not matching the split sum, a time that does not read)
+are skipped and reported rather than aborting the load, since public race
+exports routinely contain DNF/DSQ rows; a blank CSV row fails too, and is
+dropped without a word.  The split schema, the five disciplines in race
+order and the vector of their times, lives here, below the model that
+predicts splits, and so does the synthesis spec: its keys are the
+parameters of :func:`synthesize_archive`.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ OVERALL_SLACK = 0.05
 
 MIN_ARCHIVE_SIZE = 3
 
-# Largest finish place: an archive keeps places as int64, and this leaves
-# room to append rows.
+# Largest finish place of a result file: an archive keeps places as int64,
+# and this leaves room to append rows, so an archive itself has no such cap.
 MAX_PLACE = 2**62
 
 # Rows that load_archive reads and parses per pass: enough to spread the cost
@@ -82,42 +87,6 @@ class SplitVector(NamedTuple):
         return self.swim + self.t1 + self.bike + self.t2 + self.run
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One athlete's race row; all times in floating-point minutes."""
-
-    athlete_name: str
-    nation: str
-    category: str
-    finish_place: int
-    swim: float
-    t1: float
-    bike: float
-    t2: float
-    run: float
-    overall: float
-
-    def __post_init__(self) -> None:
-        if self.finish_place < 1:
-            raise ArchiveError(f"finish place must be positive, got {self.finish_place}")
-        if self.finish_place > MAX_PLACE:
-            raise ArchiveError(
-                f"finish place must be at most {MAX_PLACE}, got {self.finish_place}"
-            )
-        for name in DISCIPLINES:
-            if not getattr(self, name) > 0.0:
-                raise ArchiveError(f"split {name!r} must be strictly positive")
-        # written so a NaN difference (infinite overall and split sum) fails
-        if not abs(self.overall - self.split_sum()) <= OVERALL_SLACK:
-            raise ArchiveError(
-                f"overall {self.overall:.4f} differs from split sum "
-                f"{self.split_sum():.4f} by more than {OVERALL_SLACK} min"
-            )
-
-    def split_sum(self) -> float:
-        return self.swim + self.t1 + self.bike + self.t2 + self.run
-
-
 @dataclass(frozen=True, eq=False)
 class Archive:
     """Finisher rows of one race and group, ordered by finish place, by column.
@@ -128,9 +97,9 @@ class Archive:
     column is read without a copy.  Both arrays are read-only.  The
     constructor keeps an array given as a C-contiguous array of the right
     type, and makes it read-only in place; anything else it copies into one.
-    Every rule of :class:`ResultRecord` holds for every row, and places
-    strictly increase.  Two archives compare equal only when they are the
-    same object.
+    Every row keeps the row rules of :func:`_row_faults`, and places never
+    decrease: finishers tied on a place may share it.  Two archives compare
+    equal only when they are the same object.
     """
 
     label: str
@@ -155,48 +124,10 @@ class Archive:
             )
         if not n:
             raise ArchiveError("archive must contain at least one record")
-        if places.min() < 1:
-            raise ArchiveError(f"finish place must be positive, got {places.min()}")
-        splits_positive = times[:5] > 0.0  # so a NaN split fails
-        for name, positive in zip(DISCIPLINES, splits_positive):
-            if not positive.all():
-                raise ArchiveError(f"split {name!r} must be strictly positive")
-        with np.errstate(over="ignore", invalid="ignore"):
-            split_sum = times[0] + times[1] + times[2] + times[3] + times[4]
-            # written so a NaN difference (infinite overall and split sum) fails
-            matching = np.abs(times[5] - split_sum) <= OVERALL_SLACK
-        if not matching.all():
-            i = int(matching.argmin())
-            raise ArchiveError(
-                f"overall {times[5, i]:.4f} differs from split sum "
-                f"{split_sum[i]:.4f} by more than {OVERALL_SLACK} min"
-            )
-        if (places[1:] <= places[:-1]).any():
-            raise ArchiveError("finish places must be strictly increasing")
-
-    @classmethod
-    def from_records(cls, label: str, group: str, records: Sequence[ResultRecord]) -> Archive:
-        """Archive of ``records`` in their order; their categories are not kept."""
-        rows = [(r.swim, r.t1, r.bike, r.t2, r.run, r.overall) for r in records]
-        return cls(
-            label,
-            group,
-            np.array([r.finish_place for r in records], dtype=np.int64),
-            tuple(r.athlete_name for r in records),
-            tuple(r.nation for r in records),
-            np.array(rows, dtype=np.float64).reshape(-1, 6).T,
-        )
-
-    @property
-    def records(self) -> tuple[ResultRecord, ...]:
-        """The rows as :class:`ResultRecord` values of category ``group``,
-        built anew from the columns at each access."""
-        return tuple(
-            ResultRecord(name, nation, self.group, place, *row)
-            for name, nation, place, row in zip(
-                self.names, self.nations, self.places.tolist(), self.times.T.tolist()
-            )
-        )
+        for _, fault in _row_faults(places, times):
+            raise ArchiveError(fault)
+        if (places[1:] < places[:-1]).any():
+            raise ArchiveError("finish places must not decrease")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -218,7 +149,8 @@ class ResultRows:
     ``categories``, ``names`` and ``nations`` are tuples and ``places`` an
     int64 array, one entry per row in file order; ``times`` is a (6, n)
     float64 array with one row per column of :data:`TIME_COLUMNS`.  Every
-    row passes the checks of :class:`ResultRecord`.
+    row keeps the row rules of :func:`_row_faults`, and its place is at most
+    :data:`MAX_PLACE`; places need not be in order.
     """
 
     categories: tuple[str, ...]
@@ -239,39 +171,64 @@ def _read_only(values: object, dtype: type) -> np.ndarray:
     return array
 
 
-def _record_from_row(row: dict[str, str] | ArchiveError) -> ResultRecord:
-    """The record of one row that :func:`load_archive` could not keep by
-    column, or the :class:`ArchiveError` that says why it is skipped."""
+def _row_faults(places: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, str]]:
+    """The row rules, checked on whole columns of ``places`` and the (6, n) ``times``.
+
+    Yields each row that breaks one, in row order, as its index and the
+    message of the first rule it breaks: a place below 1, then a split that
+    is not strictly positive, in the order of :data:`DISCIPLINES`, then an
+    overall that differs from the split sum by more than
+    :data:`OVERALL_SLACK`.  A NaN time breaks a rule, and so does an
+    infinite overall with an infinite split sum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        split_sum = times[0] + times[1] + times[2] + times[3] + times[4]
+        # comparisons with a NaN are false, so a NaN split or difference fails
+        holds = np.vstack(
+            (places >= 1, times[:5] > 0.0, np.abs(times[5] - split_sum) <= OVERALL_SLACK)
+        )
+    broken = np.flatnonzero(~holds.all(axis=0))
+    for i, rule in zip(broken.tolist(), holds[:, broken].argmin(axis=0).tolist()):
+        if rule == 0:
+            yield i, f"finish place must be positive, got {places[i]}"
+        elif rule <= len(DISCIPLINES):
+            yield i, f"split {DISCIPLINES[rule - 1]!r} must be strictly positive"
+        else:
+            yield i, (
+                f"overall {times[5, i]:.4f} differs from split sum "
+                f"{split_sum[i]:.4f} by more than {OVERALL_SLACK} min"
+            )
+
+
+def _read_row(header: Sequence[str], row: list[str] | ArchiveError) -> list[float]:
+    """The times of a row that :func:`load_archive` could not read by column,
+    read cell by cell, or the :class:`ArchiveError` that says why it is
+    skipped: its shape, then each time column, then its place, then the
+    rules."""
     if isinstance(row, ArchiveError):  # a CSV row the csv module could not read
         raise row
-    # a ragged CSV row: _row_dict files surplus fields under the key None and
-    # leaves the columns of a short row out
-    if None in row:
-        raise ArchiveError(f"{len(row[None])} field(s) beyond the header's columns")
-    if len(row) < len(CSV_COLUMNS):
-        missing = [key for key in CSV_COLUMNS if key not in row]
+    if len(row) > len(header):
+        raise ArchiveError(f"{len(row) - len(header)} field(s) beyond the header's columns")
+    if len(row) < len(header):
+        missing = [key for key in CSV_COLUMNS if key not in header[:len(row)]]
         raise ArchiveError(f"row too short: no value for column(s) {missing}")
+    cells = dict(zip(header, row))
     times = []
     for key in TIME_COLUMNS:
         try:
-            times.append(parse_duration(row[key]))
+            times.append(parse_duration(cells[key]))
         except DurationParseError as exc:
             raise ArchiveError(f"column {key!r}: {exc}") from exc
     try:
-        place = int(row["place"])
+        place = int(cells["place"])
     except ValueError as exc:
-        raise ArchiveError(f"column 'place': not an integer: {row['place']!r}") from exc
-    return ResultRecord(row["name"], row["nation"], row["category"], place, *times)
-
-
-def _row_dict(header: Sequence[str], row: list[str] | ArchiveError) -> dict | ArchiveError:
-    """``row`` by column name, as :func:`_record_from_row` takes it."""
-    if isinstance(row, ArchiveError):
-        return row
-    named: dict = dict(zip(header, row))
-    if len(row) > len(header):
-        named[None] = row[len(header):]
-    return named
+        raise ArchiveError(f"column 'place': not an integer: {cells['place']!r}") from exc
+    if place > MAX_PLACE:
+        raise ArchiveError(f"finish place must be at most {MAX_PLACE}, got {place}")
+    # a place below the int64 range makes an object array, which compares alike
+    for _, fault in _row_faults(np.array([place]), np.array(times)[:, None]):
+        raise ArchiveError(fault)
+    return times
 
 
 class _Block(NamedTuple):
@@ -374,44 +331,42 @@ def _places(texts: Sequence[str]) -> np.ndarray:
 
 
 def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
-    """The rows of ``block`` that :class:`ResultRecord` accepts, by column.
+    """The rows of ``block`` that keep the row rules, by column.
 
-    Every column is parsed in one pass and the record rules are checked on
-    whole columns.  Only a row that fails them goes on: a blank row of a
-    block that ``drops_blank`` is dropped, and any other goes through
-    :func:`_record_from_row`, which keeps it after all or appends its
-    message to ``skipped``, so the kept rows and the messages are the ones a
-    per-row load gives.
+    Every column is parsed in one pass and :func:`_row_faults` checks the
+    rules on whole columns.  A row whose cells were all read and that breaks
+    a rule has its message appended to ``skipped``.  A row with a cell that
+    was not read goes on: a blank row of a block that ``drops_blank`` is
+    dropped, and any other goes through :func:`_read_row`, which keeps it
+    after all or words its message, so the kept rows and the messages are
+    the ones a per-row load gives.
     """
     width = len(block.header)
-    filler = [""] * width  # reads as no time, so a misshapen row goes to the per-row path
+    filler = [""] * width  # reads as no time, so a misshapen row is read again
     shaped = [
         row if type(row) is list and len(row) == width else filler for row in block.rows
     ]
     columns = dict(zip(block.header, zip(*shaped)))
     times = np.vstack([parse_durations(columns[key]) for key in TIME_COLUMNS])
     places = _places(columns["place"])
-    with np.errstate(over="ignore", invalid="ignore"):
-        split_sum = times[0] + times[1] + times[2] + times[3] + times[4]
-        # comparisons with a NaN, a time not read, are false
-        kept = (
-            (places > 0)
-            & (times[:5] > 0.0).all(axis=0)
-            & (np.abs(times[5] - split_sum) <= OVERALL_SLACK)
-        )
-    for i in np.flatnonzero(~kept).tolist():  # in file order
+    unread = (places == 0) | np.isnan(times).any(axis=0)  # each such row breaks a rule
+    kept = np.ones(len(block.rows), dtype=bool)
+    for i, fault in _row_faults(places, times):  # in file order
+        kept[i] = False
         row = block.rows[i]
-        if block.drops_blank and type(row) is list and not any(map(str.strip, row)):
-            continue  # a blank line reads as no time, so it is never kept
-        try:
-            record = _record_from_row(_row_dict(block.header, row))
-        except ArchiveError as exc:
-            skipped.append(f"{name} row {block.numbers[i]}: {exc}")
-            continue
-        # kept after all, e.g. with a padded time; its place was read by int()
-        # above as here, and a misshapen row is never kept
-        times[:, i] = (record.swim, record.t1, record.bike, record.t2, record.run, record.overall)
-        kept[i] = True
+        if unread[i]:
+            if block.drops_blank and type(row) is list and not any(map(str.strip, row)):
+                continue  # a blank line reads as no time, so it is never kept
+            try:
+                times[:, i] = _read_row(block.header, row)
+            except ArchiveError as exc:
+                fault = str(exc)
+            else:
+                # kept after all, e.g. with a padded time; its place was read by
+                # int() above as there, and a misshapen row is never kept
+                kept[i] = True
+                continue
+        skipped.append(f"{name} row {block.numbers[i]}: {fault}")
     mask = kept.tolist()
     return ResultRows(
         tuple(compress(columns["category"], mask)),
@@ -425,11 +380,12 @@ def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
 def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, list[str]]:
     """Load result rows from a CSV or JSON export, by column.
 
-    Returns ``(rows, skipped)``.  ``rows`` holds the rows that pass the
-    :class:`ResultRecord` checks, in file order, as :class:`ResultRows`.
-    ``skipped`` holds one message per row that was dropped, in file order,
-    naming the row by its line in a CSV file (the line it ends on) or its
-    entry number in a JSON array.  The file is read and parsed
+    Returns ``(rows, skipped)``.  ``rows`` holds the rows that keep the row
+    rules of :func:`_row_faults` and whose places are at most
+    :data:`MAX_PLACE`, in file order, as :class:`ResultRows`; tied places
+    are kept.  ``skipped`` holds one message per row that was dropped, in
+    file order, naming the row by its line in a CSV file (the line it ends
+    on) or its entry number in a JSON array.  The file is read and parsed
     ``_BLOCK_ROWS`` rows at a time, each time column of a block in one
     :func:`~tripace.timekit.parse_durations` pass that checks the time
     grammars on the column's bytes, so no row costs a record or a dict of

@@ -4,7 +4,8 @@ These deliberately avoid the package's own numeric paths: plain-Python
 accumulation for the correlation coefficient, a componentwise loop for
 the swarm step, a numpy whole-run swarm engine, the objective composed
 from the extended archive, and a loader that parses one row at a time into
-one record each, so agreement checks actually compare two routes.
+one record each, with the row rules transcribed on the record, so agreement
+checks actually compare two routes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from tripace.archive import (
     TIME_COLUMNS,
     Archive,
     ArchiveError,
-    ResultRecord,
     ResultRows,
     _check_columns,
     extend_archive,
@@ -188,7 +188,47 @@ def reference_run(config, fitness) -> PsoResult:
 # Reference loader: the per-row loader the package shipped before it loaded
 # result files by column, frozen here as an oracle for ``load_archive``.  Each
 # row becomes a dict, each time cell goes through its own parse with one
-# regex per grammar, and each kept row is one ResultRecord.
+# regex per grammar, and each kept row is one ReferenceRecord, which checks
+# the row rules itself, written out here rather than taken from the package.
+
+# the largest place of a result file, and the slack between a row's overall
+# and its split sum, in minutes
+_MAX_PLACE = 2**62
+_OVERALL_SLACK = 0.05
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    """One athlete's race row, as the per-row loader kept it; times in minutes."""
+
+    athlete_name: str
+    nation: str
+    category: str
+    finish_place: int
+    swim: float
+    t1: float
+    bike: float
+    t2: float
+    run: float
+    overall: float
+
+    def __post_init__(self) -> None:
+        if self.finish_place < 1:
+            raise ArchiveError(f"finish place must be positive, got {self.finish_place}")
+        if self.finish_place > _MAX_PLACE:
+            raise ArchiveError(
+                f"finish place must be at most {_MAX_PLACE}, got {self.finish_place}"
+            )
+        for name in ("swim", "t1", "bike", "t2", "run"):
+            if not getattr(self, name) > 0.0:
+                raise ArchiveError(f"split {name!r} must be strictly positive")
+        split_sum = self.swim + self.t1 + self.bike + self.t2 + self.run
+        # written so a NaN difference (infinite overall and split sum) fails
+        if not abs(self.overall - split_sum) <= _OVERALL_SLACK:
+            raise ArchiveError(
+                f"overall {self.overall:.4f} differs from split sum "
+                f"{split_sum:.4f} by more than {_OVERALL_SLACK} min"
+            )
 
 _HMS_RE = re.compile(r"^(\d+):(\d{2}):(\d{2}(?:\.\d+)?)$")
 _MS_RE = re.compile(r"^(\d{1,2}):(\d{2}(?:\.\d+)?)$")
@@ -234,7 +274,7 @@ def reference_parse_duration(text: str) -> float:
     return total
 
 
-def _reference_record(row: dict | ArchiveError) -> ResultRecord:
+def _reference_record(row: dict | ArchiveError) -> ReferenceRecord:
     if isinstance(row, ArchiveError):
         raise row
     if None in row:
@@ -252,7 +292,7 @@ def _reference_record(row: dict | ArchiveError) -> ResultRecord:
         place = int(row["place"])
     except ValueError as exc:
         raise ArchiveError(f"column 'place': not an integer: {row['place']!r}") from exc
-    return ResultRecord(row["name"], row["nation"], row["category"], place, *times)
+    return ReferenceRecord(row["name"], row["nation"], row["category"], place, *times)
 
 
 def _reference_csv_rows(path: Path):
@@ -296,7 +336,9 @@ def _reference_json_rows(path: Path):
         yield i, {k: str(v) for k, v in entry.items()}
 
 
-def reference_load_archive(path, format: str = "auto") -> tuple[list[ResultRecord], list[str]]:
+def reference_load_archive(
+    path, format: str = "auto"
+) -> tuple[list[ReferenceRecord], list[str]]:
     """The per-row loader: ``(records, skipped)`` with one record per kept row."""
     p = Path(path)
     if format == "auto":
@@ -304,7 +346,7 @@ def reference_load_archive(path, format: str = "auto") -> tuple[list[ResultRecor
     if format not in ("csv", "json"):
         raise ValueError(f"unknown archive format {format!r}")
     rows = _reference_json_rows(p) if format == "json" else _reference_csv_rows(p)
-    records: list[ResultRecord] = []
+    records: list[ReferenceRecord] = []
     skipped: list[str] = []
     try:
         for i, row in rows:
@@ -322,7 +364,7 @@ def reference_load_archive(path, format: str = "auto") -> tuple[list[ResultRecor
 
 
 def reference_write_archive_csv(records, path) -> None:
-    """The record-wise writer: one CSV row per ResultRecord, times as decimal minutes."""
+    """The record-wise writer: one CSV row per record, times as decimal minutes."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -344,6 +386,12 @@ def rows_from_records(records) -> ResultRows:
         tuple(r.nation for r in records),
         np.array(times, dtype=np.float64).reshape(6, len(records)),
     )
+
+
+def archive_from_records(label: str, group: str, records) -> Archive:
+    """The archive of ``records`` in their order; their categories are not kept."""
+    rows = rows_from_records(records)
+    return Archive(label, group, rows.places, rows.names, rows.nations, rows.times)
 
 
 def assert_same_rows(rows: ResultRows, expected: ResultRows) -> None:

@@ -28,12 +28,10 @@ import statistics
 
 import numpy as np
 
-from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_BIKE, TABLE1_RUN, TABLE1_SWIM
-from helpers import oracle_pearson, oracle_step
+from helpers import ReferenceRecord, archive_from_records, oracle_pearson, oracle_step
+from tables import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_BIKE, TABLE1_RUN, TABLE1_SWIM
 from tripace.archive import (
     TIME_COLUMNS,
-    Archive,
-    ResultRecord,
     extend_archive,
     load_archive,
     write_archive_csv,
@@ -274,7 +272,7 @@ def test_criterion_7_round_trip_and_invariant_suites(tmp_path):
         for place in range(1, 26):
             swim, t1, bike, t2, run_min = (float(gen.uniform(0.5, 400.0)) for _ in range(5))
             records.append(
-                ResultRecord(
+                ReferenceRecord(
                     athlete_name=f"R{place}",
                     nation="SLO",
                     category="M",
@@ -287,7 +285,7 @@ def test_criterion_7_round_trip_and_invariant_suites(tmp_path):
                     overall=swim + t1 + bike + t2 + run_min,
                 )
             )
-        write_archive_csv(Archive.from_records("roundtrip", "M", records), path)
+        write_archive_csv(archive_from_records("roundtrip", "M", records), path)
         reloaded, skipped = load_archive(path)
         writeback_ok &= not skipped and len(reloaded) == len(records)
         for before, name, after in zip(records, reloaded.names, reloaded.times.T.tolist()):
@@ -308,7 +306,7 @@ def test_criterion_7_round_trip_and_invariant_suites(tmp_path):
     ]
     for i in range(1000):
         base = archives[i % len(archives)]
-        snapshot = tuple(base.records)
+        snapshot = (base.places.copy(), base.names, base.nations, base.times.copy())
         prediction = SplitVector(
             swim=float(gen.uniform(25.0, 50.0)),
             t1=float(gen.uniform(2.0, 5.0)),
@@ -318,8 +316,11 @@ def test_criterion_7_round_trip_and_invariant_suites(tmp_path):
         )
         extended = extend_archive(base, prediction)
         extend_ok &= len(extended) == len(base) + 1
-        extend_ok &= extended.records[:-1] == snapshot
-        extend_ok &= base.records == snapshot
+        for archive, rows in ((extended, slice(-1)), (base, slice(None))):
+            extend_ok &= np.array_equal(archive.places[rows], snapshot[0])
+            extend_ok &= archive.names[rows] == snapshot[1]
+            extend_ok &= archive.nations[rows] == snapshot[2]
+            extend_ok &= np.array_equal(archive.times[:, rows], snapshot[3])
         extend_cases += 1
 
     # pearson symmetry and affine invariance, 1000 cases

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,23 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
 from helpers import (
+    ReferenceRecord,
+    archive_from_records,
     assert_same_rows,
     oracle_pearson,
     reference_load_archive,
     reference_write_archive_csv,
     rows_from_records,
 )
+from tables import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
 from test_cli_fuzz import csv_texts, json_texts
 from tripace import archive as archive_module
 from tripace.archive import (
     CSV_COLUMNS,
     MAX_PLACE,
+    OVERALL_SLACK,
     TIME_COLUMNS,
     Archive,
     ArchiveError,
-    ResultRecord,
+    ResultRows,
     SplitVector,
     SynthesisError,
     extend_archive,
@@ -38,7 +42,7 @@ from tripace.archive import (
 
 
 def make_record(place=1, category="M25-29", swim=30.0, t1=3.0, bike=160.0, t2=3.0, run=95.0):
-    return ResultRecord(
+    return ReferenceRecord(
         athlete_name=f"A{place}",
         nation="SLO",
         category=category,
@@ -52,23 +56,41 @@ def make_record(place=1, category="M25-29", swim=30.0, t1=3.0, bike=160.0, t2=3.
     )
 
 
+def one_row_skip(tmp_path, place, *times):
+    """The skip message of one result record, a row of a result file with
+    ``place`` and ``times`` (numbers or cells), loaded below the reference rows."""
+    path = tmp_path / "record.csv"
+    cells = ",".join(map(str, (place, *times)))
+    path.write_text(table1_csv_text() + f"X,-,PRO-M,{cells}\n")
+    rows, skipped = load_archive(path)
+    assert len(rows) == len(TABLE1_ROWS) and len(skipped) == 1
+    return skipped[0].removeprefix("record.csv row 7: ")
+
+
 class TestResultRecord:
-    def test_overall_must_match_split_sum(self):
-        with pytest.raises(ArchiveError, match="overall"):
-            ResultRecord("X", "-", "M", 1, 30.0, 3.0, 160.0, 3.0, 95.0, overall=292.0)
+    """The row rules on one record of a result file, as loading applies them."""
 
-    def test_infinite_split_and_overall_rejected(self):
-        inf = float("inf")
-        with pytest.raises(ArchiveError, match="overall"):
-            ResultRecord("X", "-", "M", 1, inf, 3.0, 160.0, 3.0, 95.0, overall=inf)
+    def test_overall_must_match_split_sum(self, tmp_path):
+        assert one_row_skip(tmp_path, 1, 30.0, 3.0, 160.0, 3.0, 95.0, 292.0) == (
+            "overall 292.0000 differs from split sum 291.0000 by more than 0.05 min"
+        )
 
-    def test_splits_strictly_positive(self):
-        with pytest.raises(ArchiveError, match="t1"):
-            ResultRecord("X", "-", "M", 1, 30.0, 0.0, 160.0, 3.0, 95.0, overall=288.0)
+    def test_infinite_split_and_overall_rejected(self, tmp_path):
+        # no time reads as infinite, but five huge splits sum to infinity
+        huge = "1" + "0" * 308
+        assert one_row_skip(tmp_path, 1, huge, huge, huge, huge, huge, huge).startswith(
+            f"overall {1e308:.4f} differs from split sum inf"
+        )
 
-    def test_place_positive(self):
-        with pytest.raises(ArchiveError, match="place"):
-            make_record(place=0)
+    def test_splits_strictly_positive(self, tmp_path):
+        assert one_row_skip(tmp_path, 1, 30.0, 0.0, 160.0, 3.0, 95.0, 288.0) == (
+            "split 't1' must be strictly positive"
+        )
+
+    def test_place_positive(self, tmp_path):
+        assert one_row_skip(tmp_path, 0, 30.0, 3.0, 160.0, 3.0, 95.0, 291.0) == (
+            "finish place must be positive, got 0"
+        )
 
 
 def assert_same_archive(a, b):
@@ -79,7 +101,7 @@ def assert_same_archive(a, b):
 
 
 def column_archive(times, places=None):
-    """An archive built from columns directly, past the per-record checks."""
+    """An archive built from columns directly, as ``select_group`` builds one."""
     times = np.asarray(times, dtype=float)
     n = times.shape[1]
     places = np.arange(1, n + 1) if places is None else places
@@ -95,13 +117,16 @@ def row_times(*splits):
 class TestArchiveInvariants:
     def test_non_empty(self):
         with pytest.raises(ArchiveError, match="at least one"):
-            Archive.from_records("x", "g", ())
+            column_archive(np.empty((6, 0)))
 
-    def test_places_strictly_increasing(self):
-        with pytest.raises(ArchiveError, match="strictly increasing"):
-            Archive.from_records("x", "g", (make_record(2), make_record(2)))
+    def test_places_never_decrease(self):
+        times = row_times(*[(30.0 + i, 3.0, 160.0, 3.0, 95.0) for i in range(3)])
+        tied = column_archive(times, places=[2, 2, 3])  # finishers tied on a place
+        assert tied.places.tolist() == [2, 2, 3]
+        with pytest.raises(ArchiveError, match="^finish places must not decrease$"):
+            column_archive(times, places=[2, 3, 2])
 
-    # the rules below are ResultRecord's, checked again on the columns
+    # the row rules, as a result file's rows keep them too
     def test_place_positive(self):
         times = row_times((30.0, 3.0, 160.0, 3.0, 95.0), (31.0, 3.0, 160.0, 3.0, 95.0))
         with pytest.raises(ArchiveError, match="^finish place must be positive, got 0$"):
@@ -367,6 +392,18 @@ class TestWriteBack:
         assert len(lines) == 6
 
 
+def archive_rows(archive, order=slice(None)):
+    """The rows of ``archive`` as ``load_archive`` returns rows, in ``order``,
+    its group as every row's category."""
+    return ResultRows(
+        (archive.group,) * len(archive),
+        archive.places[order],
+        archive.names[order],
+        archive.nations[order],
+        archive.times[:, order],
+    )
+
+
 class TestSelectGroup:
     def test_reference_selection(self, table1_rows):
         archive = select_group(table1_rows, "PRO-M", 5, label="taiwan2015")
@@ -390,11 +427,11 @@ class TestSelectGroup:
 
     def test_idempotent(self, table1_rows):
         once = select_group(table1_rows, "PRO-M", 4)
-        twice = select_group(rows_from_records(once.records), "PRO-M", 4)
+        twice = select_group(archive_rows(once), "PRO-M", 4)
         assert_same_archive(once, twice)
 
     def test_sorts_by_place(self, table1_archive):
-        shuffled = rows_from_records(reversed(table1_archive.records))
+        shuffled = archive_rows(table1_archive, order=slice(None, None, -1))
         archive = select_group(shuffled, "PRO-M", 5)
         assert archive.places.tolist() == [1, 2, 3, 4, 5]
         assert archive.names == tuple(row[0] for row in TABLE1_ROWS)
@@ -421,29 +458,38 @@ class TestExtendArchive:
         assert len(extended) == len(high_corr_archive) + 1
 
     def test_base_not_mutated(self, high_corr_archive):
-        snapshot = Archive.from_records(
-            high_corr_archive.label, high_corr_archive.group, high_corr_archive.records
+        base = high_corr_archive
+        snapshot = Archive(
+            base.label, base.group, base.places.copy(), base.names, base.nations, base.times.copy()
         )
         extend_archive(high_corr_archive, self.prediction)
         assert_same_archive(high_corr_archive, snapshot)
 
     def test_existing_order_kept(self, high_corr_archive):
         extended = extend_archive(high_corr_archive, self.prediction)
-        assert extended.records[:-1] == high_corr_archive.records
+        assert extended.names[:-1] == high_corr_archive.names
+        assert extended.nations[:-1] == high_corr_archive.nations
+        assert np.array_equal(extended.places[:-1], high_corr_archive.places)
+        assert np.array_equal(extended.times[:, :-1], high_corr_archive.times)
 
     def test_appended_overall_is_prediction_total(self, high_corr_archive):
         extended = extend_archive(high_corr_archive, self.prediction)
-        appended = extended.records[-1]
-        assert appended.overall == self.prediction.total()
-        assert appended.athlete_name == "PREDICTION"
-        assert appended.finish_place == len(high_corr_archive) + 1
+        assert extended.times[5, -1] == self.prediction.total()
+        assert extended.times[:5, -1].tolist() == list(self.prediction)
+        assert extended.names[-1] == "PREDICTION"
+        assert extended.places[-1] == len(high_corr_archive) + 1
 
     def test_place_stays_increasing_with_sparse_places(self):
-        base = Archive.from_records(
-            "sparse", "M", (make_record(place=5), make_record(place=9), make_record(place=14))
-        )
+        splits = (30.0, 3.0, 160.0, 3.0, 95.0)
+        base = column_archive(row_times(splits, splits, splits), places=[5, 9, 14])
         extended = extend_archive(base, self.prediction)
-        assert extended.records[-1].finish_place == 15
+        assert extended.places[-1] == 15
+
+    def test_extends_an_archive_at_the_largest_place(self):
+        # a result file's places stop at MAX_PLACE so that one more fits
+        splits = (30.0, 3.0, 160.0, 3.0, 95.0)
+        base = column_archive(row_times(splits, splits, splits), places=[1, 2, MAX_PLACE])
+        assert extend_archive(base, self.prediction).places[-1] == MAX_PLACE + 1
 
 
 class TestSynthesize:
@@ -453,34 +499,40 @@ class TestSynthesize:
         assert_same_archive(a, b)
 
     def test_hits_targets_within_tolerance(self, high_corr_archive):
-        swim = [r.swim for r in high_corr_archive.records]
-        bike = [r.bike for r in high_corr_archive.records]
-        run = [r.run for r in high_corr_archive.records]
+        swim = high_corr_archive.swim_column().tolist()
+        bike = high_corr_archive.bike_column().tolist()
+        run = high_corr_archive.run_column().tolist()
         assert oracle_pearson(swim, bike) == pytest.approx(0.73, abs=0.02)
         assert oracle_pearson(bike, run) == pytest.approx(0.0, abs=0.02)
 
     def test_collinear_targets(self):
         archive = synthesize_archive(1, 10, 1.0, 1.0, SYNTH_MEANS, SYNTH_SPREADS)
-        swim = [r.swim for r in archive.records]
-        bike = [r.bike for r in archive.records]
-        run = [r.run for r in archive.records]
+        swim = archive.swim_column().tolist()
+        bike = archive.bike_column().tolist()
+        run = archive.run_column().tolist()
         assert oracle_pearson(swim, bike) == pytest.approx(1.0, abs=1e-12)
         assert oracle_pearson(bike, run) == pytest.approx(1.0, abs=1e-12)
 
     def test_places_follow_totals(self):
         archive = synthesize_archive(7, 12, 0.5, 0.1, SYNTH_MEANS, SYNTH_SPREADS)
-        totals = [r.overall for r in archive.records]
+        totals = archive.times[5].tolist()
         assert totals == sorted(totals)
-        assert [r.finish_place for r in archive.records] == list(range(1, 13))
+        assert archive.places.tolist() == list(range(1, 13))
 
     def test_thousand_rows_pinned(self):
         archive = synthesize_archive(1, 1_000, 0.73, 0.0, SYNTH_MEANS, SYNTH_SPREADS)
-        for record in archive.records:
-            assert all(
-                type(getattr(record, name)) is float
-                for name in ("swim", "t1", "bike", "t2", "run", "overall")
-            )
-        text = "\n".join(repr(record) for record in archive.records)
+        rows = zip(
+            archive.names, archive.nations, archive.places.tolist(), archive.times.T.tolist()
+        )
+        # each row as the pinned text spells it: the repr of a record of the row
+        fields = ("athlete_name", "nation", "category", "finish_place", *TIME_COLUMNS)
+        lines = []
+        for name, nation, place, times in rows:
+            assert all(type(value) is float for value in times)
+            values = (name, nation, archive.group, place, *times)
+            pairs = ", ".join(f"{key}={value!r}" for key, value in zip(fields, values))
+            lines.append(f"ResultRecord({pairs})")
+        text = "\n".join(lines)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "a3d232ed8c914d0ad19c604b12387d64a6ec8307b32e744adf271de7d400ddfe"
 
@@ -542,7 +594,7 @@ def record_batches(draw):
     for place in range(1, n + 1):
         swim, t1, bike, t2, run = (draw(times) for _ in range(5))
         records.append(
-            ResultRecord(
+            ReferenceRecord(
                 athlete_name=f"R{place}",
                 nation="SLO",
                 category="M25-29",
@@ -563,7 +615,7 @@ def record_batches(draw):
 def test_write_back_identity_property(records, tmp_path_factory):
     folder = tmp_path_factory.mktemp("wb")
     path, expected = folder / "archive.csv", folder / "records.csv"
-    write_archive_csv(Archive.from_records("prop", "M25-29", records), path)
+    write_archive_csv(archive_from_records("prop", "M25-29", records), path)
     reference_write_archive_csv(records, expected)
     assert path.read_bytes() == expected.read_bytes()
     reloaded, skipped = load_archive(path)
@@ -579,7 +631,7 @@ def test_write_back_identity_property(records, tmp_path_factory):
 @given(records=record_batches(), prediction=st.tuples(*[times] * 5))
 @settings(max_examples=60, deadline=None)
 def test_columnar_layout_property(records, prediction):
-    archive = Archive.from_records("prop", "M25-29", records)
+    archive = archive_from_records("prop", "M25-29", records)
     for row, name in enumerate(TIME_COLUMNS):
         expected = np.array([getattr(r, name) for r in records])
         assert np.array_equal(archive.times[row], expected)
@@ -588,7 +640,8 @@ def test_columnar_layout_property(records, prediction):
     assert np.array_equal(archive.run_column(), np.array([r.run for r in records]))
     assert np.array_equal(archive.places, [r.finish_place for r in records])
     assert archive.names == tuple(r.athlete_name for r in records)
-    assert archive.records == tuple(records)
+    assert archive.nations == tuple(r.nation for r in records)
+    assert (archive.label, archive.group) == ("prop", "M25-29")
     for column in (*archive.times, archive.places):
         assert column.flags.c_contiguous and not column.flags.writeable
     places, columns = archive.places.copy(), archive.times.copy()
@@ -600,9 +653,12 @@ def test_columnar_layout_property(records, prediction):
 
 
 # Cells a per-row load reads differently from the common case: padded and
-# signed places, digit separators and non-ASCII digits, huge hours, seconds
-# just below 60, zero times, and quoted cells spanning lines.
-EDGE_PLACES = [" 1 ", "+5", "1_000", "\u0661", "\uff17", "0", "-3", str(10**20), "07", ""]
+# signed places, places past either end of int64, digit separators and
+# non-ASCII digits, huge hours, seconds just below 60, zero times, and quoted
+# cells spanning lines.
+EDGE_PLACES = [
+    " 1 ", "+5", "1_000", "\u0661", "\uff17", "0", "-3", str(10**20), str(-10**20), "07", "",
+]
 EDGE_TIMES = [
     " 24.00", "24.00 ", "\u0662\u0664.00", "0:24:00", "24:00", "1:59:59.999", "59.999",
     "9" * 400 + ":00:00", "9" * 400, "0", "0:00", "60:00", "1:60:00", "DNF", "", '"24\n.00"',
@@ -681,3 +737,70 @@ def test_load_archive_matches_the_per_row_loader(archive, block):
         assert not isinstance(got[0], type), got
         assert_same_rows(got[0], expected[0])
         assert got[1] == expected[1]
+
+
+# Times a row's values can take: ordinary ones, zero, a tiny one, one that
+# overflows a sum of five, and NaN and infinity, which no cell reads as.
+rule_times = st.one_of(
+    st.floats(min_value=0.5, max_value=400.0),
+    st.sampled_from([0.0, 1e-300, 1e308, math.nan, math.inf]),
+)
+
+
+def slack_edges(split_sum, side):
+    """On ``side`` (+1 or -1) of ``split_sum``, the overall furthest from it
+    that is within ``OVERALL_SLACK``, and the next float past it."""
+    beyond = side * math.inf
+    at = split_sum + side * OVERALL_SLACK
+    while abs(at - split_sum) > OVERALL_SLACK:
+        at = math.nextafter(at, split_sum)
+    while abs(math.nextafter(at, beyond) - split_sum) <= OVERALL_SLACK:
+        at = math.nextafter(at, beyond)
+    return at, math.nextafter(at, beyond)
+
+
+@st.composite
+def rule_rows(draw):
+    """A place in [1, MAX_PLACE] and six times, the overall often on the
+    edge of the slack or just past it."""
+    splits = [draw(rule_times) for _ in range(5)]
+    split_sum = splits[0] + splits[1] + splits[2] + splits[3] + splits[4]
+    # a negative overall is no time a cell holds, though an archive may accept it
+    edges = [v for v in (*slack_edges(split_sum, 1), *slack_edges(split_sum, -1)) if not v < 0]
+    overall = draw(st.sampled_from([split_sum, *edges]) | rule_times)
+    return draw(st.integers(1, MAX_PLACE)), (*splits, overall)
+
+
+def cell(value):
+    """``value`` as a decimal-minutes cell that reads back bit for bit, or,
+    for NaN and infinity, a cell that does not read."""
+    if not math.isfinite(value):
+        return str(value)
+    return np.format_float_positional(value, unique=True, trim="-")
+
+
+@given(row=rule_rows())
+@settings(max_examples=300, deadline=None)
+def test_load_keeps_a_row_exactly_when_an_archive_of_it_is_accepted(row):
+    place, times = row
+    try:
+        Archive("x", "g", [place], ("X",), ("-",), np.array(times)[:, None])
+    except ArchiveError as exc:
+        verdict = str(exc)
+    else:
+        verdict = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "row.csv"
+        path.write_text(table1_csv_text() + f"X,-,PRO-M,{place},{','.join(map(cell, times))}\n")
+        rows, skipped = load_archive(path)
+    kept = len(rows) == len(TABLE1_ROWS) + 1
+    assert kept == (verdict is None)
+    if kept:
+        assert skipped == []
+        assert rows.places[-1] == place and rows.times[:, -1].tolist() == list(times)
+    elif all(map(math.isfinite, times)):  # every cell reads
+        assert skipped == [f"row.csv row 7: {verdict}"]
+    else:
+        unread = TIME_COLUMNS[[math.isfinite(v) for v in times].index(False)]
+        assert len(skipped) == 1
+        assert skipped[0].startswith(f"row.csv row 7: column {unread!r}: ")

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import tripace.cli
-from conftest import SYNTH_MEANS, SYNTH_SPREADS
+from tables import SYNTH_MEANS, SYNTH_SPREADS
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
+from tables import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
 from tripace.cli import main
 from tripace.experiment import (
     ExperimentConfig,
@@ -349,6 +349,27 @@ class TestCorrelateCommand:
             values[parts[0]] = float(parts[-1])
         assert values["swim-bike"] == pytest.approx(HIGH_SPEC["r_swim_bike"], abs=0.02)
         assert values["bike-run"] == pytest.approx(HIGH_SPEC["r_bike_run"], abs=0.02)
+
+
+# an age group whose 3rd place is tied: two finishers share it
+TIED_ROWS = """name,nation,category,place,swim,t1,bike,t2,run,overall
+A1,SLO,M40-44,1,32.0,3.0,160.0,3.0,88.0,286.0
+A2,SLO,M40-44,2,33.0,3.5,163.0,3.0,90.0,292.5
+A3,SLO,M40-44,3,34.0,3.0,166.0,3.5,91.0,297.5
+A4,SLO,M40-44,3,33.5,4.0,165.0,3.0,93.0,298.5
+A5,SLO,M40-44,5,35.0,3.5,168.0,4.0,92.0,302.5
+A6,SLO,M40-44,6,36.0,3.0,170.0,3.5,95.0,307.5
+"""
+
+
+def test_tied_places_in_the_top_n_are_kept(tmp_path, capsys):
+    path = tmp_path / "tied.csv"
+    path.write_text(TIED_ROWS)
+    source = ["--archive", str(path), "--group", "M40-44", "--top-n", "6"]
+    assert main(["correlate", *source]) == 0
+    assert "(n=6)" in capsys.readouterr().out
+    assert main(["predict", *source, "--max-fes", "200", "--runs", "1", "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["archive"]["size"] == 6
 
 
 class TestPredictCommand:

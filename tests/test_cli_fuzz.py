@@ -23,7 +23,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS
+from tables import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS
 from tripace.archive import CSV_COLUMNS
 from tripace.cli import main
 

@@ -1,21 +1,21 @@
-"""The package's layers, and the field order that positional records rely on.
+"""The package's layers, and the column order that positional rows rely on.
 
 ``timekit``, ``stats``, ``archive`` and ``pso`` are the layers below the
 model: none of them may import ``preference``, ``experiment`` or ``cli``,
 not even for type checking.  The split schema lives in ``archive``, and
-``extend_archive`` and the loaders build a record positionally from a split
-vector, so the order of the fields is pinned here too.
+``extend_archive`` builds an archive's row of times positionally from a
+split vector and the loaders from a result record's columns, so the order
+of the columns is pinned here too.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 from pathlib import Path
 
 import pytest
 
-from tripace.archive import DISCIPLINES, ResultRecord, SplitVector
+from tripace.archive import CSV_COLUMNS, DISCIPLINES, TIME_COLUMNS, SplitVector
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tripace"
 LOWER = ("timekit", "stats", "archive", "pso")
@@ -54,5 +54,5 @@ def test_split_vector_fields_are_the_disciplines():
 
 
 def test_record_split_and_overall_fields_follow_the_identity_fields():
-    names = tuple(f.name for f in dataclasses.fields(ResultRecord))
-    assert names[4:] == (*DISCIPLINES, "overall")
+    assert TIME_COLUMNS == (*DISCIPLINES, "overall")
+    assert CSV_COLUMNS[4:] == TIME_COLUMNS

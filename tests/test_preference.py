@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SYNTH_MEANS, SYNTH_SPREADS
 from helpers import oracle_pearson, preference_fitness
+from tables import SYNTH_MEANS, SYNTH_SPREADS
 from tripace.archive import Archive, extend_archive, synthesize_archive
 from tripace.preference import (
     DEFAULT_BOUNDS,
@@ -163,9 +163,9 @@ class TestPreferenceFitness:
         candidate = leverage_candidate(-2.0)
         extended = extend_archive(high_corr_archive, candidate)
         r2 = oracle_pearson(
-            [r.swim for r in extended.records], [r.bike for r in extended.records]
+            extended.swim_column().tolist(), extended.bike_column().tolist()
         ) + oracle_pearson(
-            [r.bike for r in extended.records], [r.run for r in extended.records]
+            extended.bike_column().tolist(), extended.run_column().tolist()
         )
         assert r2 > pair.sum  # candidate chosen to tighten the correlation
         value = preference_fitness(candidate, high_corr_archive, cfg, pair)
@@ -188,9 +188,9 @@ class TestPreferenceFitness:
     def test_correlation_degrading_candidate_is_penalty(self, high_corr_archive):
         cfg = ModelConfig()
         pair = archive_correlation(high_corr_archive)
-        base_swim = [r.swim for r in high_corr_archive.records]
-        base_bike = [r.bike for r in high_corr_archive.records]
-        base_run = [r.run for r in high_corr_archive.records]
+        base_swim = high_corr_archive.swim_column().tolist()
+        base_bike = high_corr_archive.bike_column().tolist()
+        base_run = high_corr_archive.run_column().tolist()
 
         best = None
         for swim, bike, run in itertools.product(
@@ -212,24 +212,11 @@ class TestPreferenceFitness:
     def test_undefined_extended_correlation_is_penalty(self):
         # handcrafted three-row archive with a constant swim column; appending
         # a candidate with the same swim keeps the column constant
-        from tripace.archive import ResultRecord
-
-        rows = tuple(
-            ResultRecord(
-                athlete_name=f"A{i}",
-                nation="-",
-                category="M",
-                finish_place=i,
-                swim=30.0,
-                t1=3.0,
-                bike=150.0 + i,
-                t2=3.0,
-                run=90.0 + 2 * i,
-                overall=30.0 + 3.0 + 150.0 + i + 3.0 + 90.0 + 2 * i,
-            )
+        rows = [
+            (30.0, 3.0, 150.0 + i, 3.0, 90.0 + 2 * i, 30.0 + 3.0 + 150.0 + i + 3.0 + 90.0 + 2 * i)
             for i in (1, 2, 3)
-        )
-        base = Archive.from_records("flat", "M", rows)
+        ]
+        base = Archive("flat", "M", [1, 2, 3], ("A1", "A2", "A3"), ("-",) * 3, np.array(rows).T)
         cfg = ModelConfig()
         fake_pair = CorrelationPair(r_swim_bike=0.0, r_bike_run=0.0)
         candidate = SplitVector(swim=30.0, t1=3.0, bike=160.0, t2=3.0, run=95.0)
@@ -260,9 +247,9 @@ class TestFitnessLiteral:
         against = SplitVector(swim=48.0, t1=3.5, bike=141.0, t2=3.5, run=92.0)
         extended = extend_archive(high_corr_archive, against)
         r2 = oracle_pearson(
-            [r.swim for r in extended.records], [r.bike for r in extended.records]
+            extended.swim_column().tolist(), extended.bike_column().tolist()
         ) + oracle_pearson(
-            [r.bike for r in extended.records], [r.run for r in extended.records]
+            extended.bike_column().tolist(), extended.run_column().tolist()
         )
         assert r2 < pair.sum
         assert preference_fitness(against, high_corr_archive, cfg, pair) == cfg.infeasible_penalty
@@ -271,11 +258,11 @@ class TestFitnessLiteral:
         cfg = ModelConfig()
         pair = archive_correlation(high_corr_archive)
         centroid = SplitVector(
-            float(np.mean([r.swim for r in high_corr_archive.records])),
+            float(high_corr_archive.swim_column().mean()),
             3.5,
-            float(np.mean([r.bike for r in high_corr_archive.records])),
+            float(high_corr_archive.bike_column().mean()),
             3.5,
-            float(np.mean([r.run for r in high_corr_archive.records])),
+            float(high_corr_archive.run_column().mean()),
         )
         # appending the exact centroid cannot strictly raise the sum
         assert preference_fitness(centroid, high_corr_archive, cfg, pair) in (

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import TABLE1_BIKE, TABLE1_RUN, TABLE1_SWIM
 from helpers import oracle_pearson
+from tables import TABLE1_BIKE, TABLE1_RUN, TABLE1_SWIM
 from tripace.stats import (
     CorrelationUndefinedError,
     appended_correlation_sum,
@@ -177,24 +177,12 @@ class TestArchiveCorrelation:
         assert archive_correlation(low_corr_archive).sum == pytest.approx(0.2051, abs=0.05)
 
     def test_names_the_constant_column(self, table1_archive):
-        from tripace.archive import Archive, ResultRecord
+        from tripace.archive import Archive
 
-        flat_bike = tuple(
-            ResultRecord(
-                athlete_name=r.athlete_name,
-                nation=r.nation,
-                category=r.category,
-                finish_place=r.finish_place,
-                swim=r.swim,
-                t1=r.t1,
-                bike=100.0,
-                t2=r.t2,
-                run=r.run,
-                overall=r.swim + r.t1 + 100.0 + r.t2 + r.run,
-            )
-            for r in table1_archive.records
-        )
-        flat = Archive.from_records("flat", "PRO-M", flat_bike)
+        a = table1_archive
+        swim, t1, _, t2, run, _ = a.times
+        flat_bike = np.vstack((swim, t1, [100.0] * len(a), t2, run, swim + t1 + 100.0 + t2 + run))
+        flat = Archive("flat", "PRO-M", a.places, a.names, a.nations, flat_bike)
         with pytest.raises(CorrelationUndefinedError, match="zero variance in bike"):
             archive_correlation(flat)
 
