@@ -171,7 +171,9 @@ def _read_only(values: object, dtype: type) -> np.ndarray:
     return array
 
 
-def _row_faults(places: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, str]]:
+def _row_faults(
+    places: np.ndarray, times: np.ndarray, unread: np.ndarray | None = None
+) -> Iterator[tuple[int, str | None]]:
     """The row rules, checked on whole columns of ``places`` and the (6, n) ``times``.
 
     Yields each row that breaks one, in row order, as its index and the
@@ -179,17 +181,27 @@ def _row_faults(places: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, st
     is not strictly positive, in the order of :data:`DISCIPLINES`, then an
     overall that differs from the split sum by more than
     :data:`OVERALL_SLACK`.  A NaN time breaks a rule, and so does an
-    infinite overall with an infinite split sum.
+    infinite overall with an infinite split sum.  A row of the mask
+    ``unread``, one whose cells were not all read, has no message: None.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         split_sum = times[0] + times[1] + times[2] + times[3] + times[4]
         # comparisons with a NaN are false, so a NaN split or difference fails
-        holds = np.vstack(
-            (places >= 1, times[:5] > 0.0, np.abs(times[5] - split_sum) <= OVERALL_SLACK)
-        )
-    broken = np.flatnonzero(~holds.all(axis=0))
-    for i, rule in zip(broken.tolist(), holds[:, broken].argmin(axis=0).tolist()):
-        if rule == 0:
+        placed = places >= 1
+        positive = times[:5] > 0.0
+        fits = np.abs(times[5] - split_sum) <= OVERALL_SLACK
+    broken = np.flatnonzero(~(placed & positive.all(axis=0) & fits))
+    if not broken.size:
+        return
+    worded = broken if unread is None else broken[~unread[broken]]
+    # the first rule each worded row breaks
+    holds = np.vstack((placed[worded], positive[:, worded], fits[worded]))
+    rules = dict(zip(worded.tolist(), holds.argmin(axis=0).tolist()))
+    for i in broken.tolist():
+        rule = rules.get(i)
+        if rule is None:
+            yield i, None
+        elif rule == 0:
             yield i, f"finish place must be positive, got {places[i]}"
         elif rule <= len(DISCIPLINES):
             yield i, f"split {DISCIPLINES[rule - 1]!r} must be strictly positive"
@@ -351,10 +363,10 @@ def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
     places = _places(columns["place"])
     unread = (places == 0) | np.isnan(times).any(axis=0)  # each such row breaks a rule
     kept = np.ones(len(block.rows), dtype=bool)
-    for i, fault in _row_faults(places, times):  # in file order
+    for i, fault in _row_faults(places, times, unread):  # in file order
         kept[i] = False
         row = block.rows[i]
-        if unread[i]:
+        if fault is None:
             if block.drops_blank and type(row) is list and not any(map(str.strip, row)):
                 continue  # a blank line reads as no time, so it is never kept
             try:
@@ -393,7 +405,8 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
     whitespace fails one, and is dropped there without a message.  Raises
     :class:`ArchiveError` for structural problems: unreadable file or
     header, JSON nested too deeply to parse, unknown or missing columns, or
-    zero parseable rows.
+    zero parseable rows; its message then counts the skipped rows and
+    quotes the first one's.
     """
     p = Path(path)
     if format == "auto":
@@ -418,7 +431,9 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
         np.concatenate([part.times for part in parts] or [np.empty((6, 0))], axis=1),
     )
     if not len(rows):
-        raise ArchiveError(f"{p}: zero parseable rows")
+        # the caller prints no skip line then, so the error says why
+        why = f"; {len(skipped)} row(s) skipped, the first: {skipped[0]}" if skipped else ""
+        raise ArchiveError(f"{p}: zero parseable rows{why}")
     return rows, skipped
 
 

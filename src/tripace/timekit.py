@@ -11,10 +11,13 @@ reads three grammars, told apart by colon count:
 :func:`parse_duration` reads them with one regex of the three.
 :func:`parse_durations` reads a whole column of such strings per call, to
 the same floats, with no regex: it checks the grammars on the column's
-bytes, a few numpy passes over all of them at once, and leaves to
-:func:`parse_duration` the strings it does not read, so a result file's
-common row costs no call per cell.  The byte rules state the grammars a
-second time; the tests hold the two statements to the same strings.
+bytes and reads every field from its digit bytes, a few numpy passes over
+all of them at once, and leaves to :func:`parse_duration` the strings it
+does not read, so a result file's common row costs no call per cell.  A
+string with a number longer than 15 digits, where a sum of place values
+stops being exact, goes to :func:`parse_duration` within the same call.
+The byte rules state the grammars a second time; the tests hold the two
+statements to the same strings.
 
 :func:`format_split` renders the split cells of a report, in the first
 grammar from an hour up and in the second below, so every rendered split
@@ -36,6 +39,13 @@ _DURATION_RE = re.compile(r"(?:(\d+):(?=\d\d:))?(\d{1,2}):(\d\d(?:\.\d+)?)|(\d+(
 
 # The bytes of a column that end a field or split one.
 _NEWLINE, _COLON, _POINT = b"\n:."
+
+# The most digits of a number that parse_durations reads from its bytes: a
+# decimal of at most 15 significant digits and every power of ten up to
+# 10**15 are exact floats (Clinger 1990), and int64 holds them.
+_EXACT_DIGITS = 15
+_TENS = 10 ** np.arange(_EXACT_DIGITS + 1, dtype=np.int64)
+_SCALES = _TENS.astype(np.float64)
 
 
 class DurationParseError(ValueError):
@@ -100,9 +110,14 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     not a digit is a mark: a colon, a point, a line end or any other byte,
     a non-ASCII character among them.  Each mark is checked against the
     grammars from its neighbours and the digits before it, all marks at
-    once; a string is read when none of its marks breaks a rule.  The fields
-    of the strings that are not become ``nan``, and one float conversion
-    reads every field.
+    once; a string is read when none of its marks breaks a rule.  Each field
+    is then read from the digit bytes before its mark: a run of digits is
+    summed in int64, one place at a time, and a field with a point is that
+    integer over a power of ten, one division that rounds as ``float()``
+    does.  Both are exact only up to 15 digits, so a string that keeps every
+    rule with a number longer than that, integer and fraction digits
+    counted together, is read by :func:`parse_duration`, NaN where it
+    raises.
     """
     n = len(texts)
     if not n:
@@ -114,7 +129,8 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     # reads.  With a closing line end, every string ends at one.
     text = np.frombuffer((joined + "\n").encode("ascii", "replace"), dtype=np.uint8)
     # every byte but a digit is a mark; uint8 bytes below "0" wrap round past 9
-    at = ((text - ord("0")) > 9).nonzero()[0]
+    figures = text - ord("0")
+    at = (figures > 9).nonzero()[0]
     mark = text[at]
     digits = at - np.concatenate(([-1], at[:-1])) - 1  # the run of digits before each mark
     newline = mark == _NEWLINE
@@ -122,6 +138,7 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     point = mark == _POINT
     before = np.concatenate(([_NEWLINE], mark[:-1]))
     after = np.concatenate((mark[1:], [_NEWLINE]))
+    following = np.concatenate((digits[1:], [0]))  # the run of digits after each mark
     hours_end = colon & (after == _COLON)
     last_colon = colon & ~hours_end
     # a string is read when none of its marks breaks a rule of the grammars
@@ -132,17 +149,33 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
         | hours_end & (before != _NEWLINE)  # hours come first, so two colons at most
         | colon & (before == _COLON) & (digits != 2)  # minutes after hours have two digits
         # minutes have one or two digits, and seconds two before any point
-        | last_colon & ((digits > 2) | (np.concatenate((digits[1:], [0])) != 2))
+        | last_colon & ((digits > 2) | (following != 2))
     )
     ends = newline.nonzero()[0]  # the line end of each string
     read = np.ones(n, dtype=bool)
     read[ends.searchsorted(broken.nonzero()[0])] = False
-    last = (mark[newline | colon] == _NEWLINE).nonzero()[0]  # each string's last field
+    # A number of more than _EXACT_DIGITS digits, its fraction's included, is
+    # left to parse_duration; so is its string, when it keeps every rule.
+    size = digits + np.where(point, following, 0)  # a point's number runs on past it
+    long = np.zeros(n, dtype=bool)
+    long[ends.searchsorted((size > _EXACT_DIGITS).nonzero()[0])] = True
+    long &= read
+    read &= ~long
+    # The integer of each run of digits, one place at a time; a longer run
+    # keeps its last digits, and its string is not read here.
+    run = np.minimum(digits, _EXACT_DIGITS)
+    value = np.zeros(len(at), dtype=np.int64)
+    for k in range(run.max()):
+        value += np.where(run > k, figures.take(at - 1 - k), 0) * _TENS[k]
+    fields_at = (newline | colon).nonzero()[0]  # the mark that ends each field
+    last = newline[fields_at].nonzero()[0]  # each string's last field
     colons = last - np.concatenate(([-1], last[:-1])) - 1
-    parts = joined.replace(":", "\n").split("\n")
-    for i in np.repeat(~read, colons + 1).nonzero()[0].tolist():
-        parts[i] = "nan"
-    fields = np.array(parts, dtype=np.float64)
+    # A field with a point is its digits as one integer over a power of ten:
+    # both are exact floats, so the one division rounds as float() does.
+    fraction = before[fields_at] == _POINT
+    scale = _SCALES[np.where(fraction, run[fields_at], 0)]
+    whole = np.where(fraction, value.take(fields_at - 1), 0)
+    fields = (whole * scale + value[fields_at]) / scale
     seconds = fields[last]
     # clipped: before a string's first field lie another string's, or none
     minutes = np.where(colons > 0, fields.take(last - 1, mode="clip"), 0.0)
@@ -150,7 +183,13 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.where(colons > 0, hours * 60.0 + minutes + seconds / 60.0, seconds)
         read &= np.isfinite(total) & (minutes < 60.0) & ((seconds < 60.0) | (colons == 0))
-    return np.where(read, total, np.nan)
+    total = np.where(read, total, np.nan)
+    for i in long.nonzero()[0].tolist():
+        try:
+            total[i] = parse_duration(texts[i])
+        except DurationParseError:
+            pass
+    return total
 
 
 def format_split(minutes: float) -> str:

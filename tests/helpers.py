@@ -359,7 +359,10 @@ def reference_load_archive(
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"{p}: invalid JSON: {exc}") from exc
     if not records:
-        raise ArchiveError(f"{p}: zero parseable rows")
+        message = f"{p}: zero parseable rows"
+        if skipped:
+            message += f"; {len(skipped)} row(s) skipped, the first: {skipped[0]}"
+        raise ArchiveError(message)
     return records, skipped
 
 

@@ -315,6 +315,18 @@ class TestCorrelateCommand:
         assert done.stderr.startswith("skipped 1 row(s) while loading:\n")
         assert done.stderr.count("dnf.csv row 7:") == 1
 
+    def test_file_of_skipped_rows_says_why(self, tmp_path):
+        # every row is skipped, so the error is the only line that can say why
+        path = tmp_path / "a.csv"
+        path.write_text("name,nation,category,place,swim,t1,bike,t2,run,overall\nx,y,cat\n")
+        done = run_cli("correlate", "--archive", str(path), "--group", "cat")
+        assert done.returncode == 2
+        assert done.stderr == (
+            f"error: {path}: zero parseable rows; 1 row(s) skipped, the first: a.csv row 2: "
+            "row too short: no value for column(s) "
+            "['place', 'swim', 't1', 'bike', 't2', 'run', 'overall']\n"
+        )
+
     def test_overflowing_variances_exit_2(self, tmp_path):
         # Table 1 with its bike splits scaled to about 1e162 min, written as
         # plain decimals: the bike variance overflows to infinity

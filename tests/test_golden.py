@@ -126,10 +126,10 @@ def test_field_report_matches_benchmark_hash(bench_inputs):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == benchmark_hash("predict_field")
 
 
-def result_file(bench_inputs, folder: Path) -> Path:
-    """The benchmark's load_correlate input at seed 10, named as it names it."""
-    path = folder / "results-10.csv"
-    path.write_text(bench_inputs.result_csv(10).text, encoding="utf-8")
+def result_file(bench_inputs, folder: Path, seed: int = 10) -> Path:
+    """The benchmark's load_correlate input at ``seed``, named as it names it."""
+    path = folder / f"results-{seed}.csv"
+    path.write_text(bench_inputs.result_csv(seed).text, encoding="utf-8")
     return path
 
 
@@ -146,8 +146,10 @@ def test_correlate_report_matches_benchmark_hash(bench_inputs, tmp_path):
     assert err.getvalue().encode("utf-8") == expected
 
 
-def test_result_file_loads_as_the_per_row_loader_does(bench_inputs, tmp_path):
-    path = result_file(bench_inputs, tmp_path)
+# seed 10 and seed 23, the two benchmark files that load timings are taken on
+@pytest.mark.parametrize("seed", [10, 23])
+def test_result_file_loads_as_the_per_row_loader_does(seed, bench_inputs, tmp_path):
+    path = result_file(bench_inputs, tmp_path, seed)
     rows, skipped = load_archive(path)
     records, expected_skipped = reference_load_archive(path)
     assert (len(rows), len(skipped)) == (9_800, 200)

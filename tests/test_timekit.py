@@ -250,3 +250,44 @@ def long_columns(draw):
 @example(texts=["0:24:00", "1e5", "24.00"])
 def test_column_path_contract_holds_on_long_columns(texts):
     assert_column_path_contract(texts)
+
+
+def digit_run(size):
+    return st.text(alphabet="0123456789", min_size=size, max_size=size)
+
+
+@st.composite
+def near_exact_numbers(draw):
+    """A time string whose one long number has 13 to 17 digits, the integer
+    and fraction digits of a point counted together: 15 is the most that the
+    column path reads from its bytes."""
+    size = draw(st.integers(13, 17))
+    place = draw(st.sampled_from(["hours", "seconds", "decimal", "integer"]))
+    if place == "hours":
+        return draw(digit_run(size)) + draw(st.sampled_from([":00:00", ":59:59.5", ":60:00"]))
+    if place == "seconds":
+        clock = draw(st.sampled_from(["1:00:", "7:", "59:", "1:59:"]))
+        return clock + draw(st.sampled_from(["00", "59", "60"])) + "." + draw(digit_run(size - 2))
+    if place == "integer":
+        return draw(digit_run(size))
+    whole = draw(st.integers(1, size - 1))
+    return draw(digit_run(whole)) + "." + draw(digit_run(size - whole))
+
+
+# The number of at most 15 digits is read from its bytes and a longer one by
+# parse_duration; past 15, a sum of place values can round otherwise than
+# float(), as on the two 16-digit decimals below.
+@given(
+    texts=st.lists(
+        st.one_of(near_exact_numbers(), st.sampled_from(["0:24:00", "24.00", "5:07.5", "DNF", ""])),
+        max_size=12,
+    )
+)
+@settings(max_examples=300, deadline=None)
+@example(texts=["999999999999999", "9999999999999999"])
+@example(texts=["9.645669701700019", "0.9820518287519073"])
+@example(texts=["123456789012345:00:00", "1:00:59.9999999999999"])
+@example(texts=["0:24:00", "9.645669701700019", "24.00", "1234567890123456:00:00", "5:07.5"])
+def test_column_path_reads_15_digits_and_hands_longer_numbers_on(texts):
+    # every string is ASCII and stripped, so each value is parse_duration's bits
+    assert_column_path_contract(texts)
