@@ -15,22 +15,22 @@ and an overall within :data:`OVERALL_SLACK` of the split sum.  Every
 accepts the CSV/JSON exports described in the README and keeps their rows
 by column too (:class:`ResultRows`): it reads a block of rows at a time
 straight from the CSV reader, parses each time column of the block in one
-pass that checks the time grammars on the column's bytes, and keeps the
-rows that the same check passes and whose places are at most
-:data:`MAX_PLACE`, a cap of result files only.  Rows that fail (splits not
-positive, overall not matching the split sum, a time that does not read)
-are skipped and reported rather than aborting the load, since public race
-exports routinely contain DNF/DSQ rows; a blank CSV row fails too, and is
-dropped without a word.  The split schema, the five disciplines in race
-order and the vector of their times, lives here, below the model that
-predicts splits, and so does the synthesis spec: its keys are the
-parameters of :func:`synthesize_archive`.
+pass, which reads every cell once, and keeps the rows that keep the row
+rules and whose places are at most :data:`MAX_PLACE`, a cap of result files
+only.  Rows that fail (splits not positive, overall not matching the split
+sum, a time that does not read) are skipped and reported rather than
+aborting the load, since public race exports routinely contain DNF/DSQ
+rows; a blank CSV row fails too, and is dropped without a word.  The split
+schema, the five disciplines in race order and the vector of their times,
+lives here, below the model that predicts splits, and so does the
+synthesis spec: its keys are the parameters of :func:`synthesize_archive`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import eq
@@ -171,9 +171,7 @@ def _read_only(values: object, dtype: type) -> np.ndarray:
     return array
 
 
-def _row_faults(
-    places: np.ndarray, times: np.ndarray, unread: np.ndarray | None = None
-) -> Iterator[tuple[int, str | None]]:
+def _row_faults(places: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, str]]:
     """The row rules, checked on whole columns of ``places`` and the (6, n) ``times``.
 
     Yields each row that breaks one, in row order, as its index and the
@@ -181,8 +179,7 @@ def _row_faults(
     is not strictly positive, in the order of :data:`DISCIPLINES`, then an
     overall that differs from the split sum by more than
     :data:`OVERALL_SLACK`.  A NaN time breaks a rule, and so does an
-    infinite overall with an infinite split sum.  A row of the mask
-    ``unread``, one whose cells were not all read, has no message: None.
+    infinite overall with an infinite split sum.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         split_sum = times[0] + times[1] + times[2] + times[3] + times[4]
@@ -191,17 +188,10 @@ def _row_faults(
         positive = times[:5] > 0.0
         fits = np.abs(times[5] - split_sum) <= OVERALL_SLACK
     broken = np.flatnonzero(~(placed & positive.all(axis=0) & fits))
-    if not broken.size:
-        return
-    worded = broken if unread is None else broken[~unread[broken]]
-    # the first rule each worded row breaks
-    holds = np.vstack((placed[worded], positive[:, worded], fits[worded]))
-    rules = dict(zip(worded.tolist(), holds.argmin(axis=0).tolist()))
-    for i in broken.tolist():
-        rule = rules.get(i)
-        if rule is None:
-            yield i, None
-        elif rule == 0:
+    # the first rule each broken row breaks
+    holds = np.vstack((placed[broken], positive[:, broken], fits[broken]))
+    for i, rule in zip(broken.tolist(), holds.argmin(axis=0).tolist()):
+        if rule == 0:
             yield i, f"finish place must be positive, got {places[i]}"
         elif rule <= len(DISCIPLINES):
             yield i, f"split {DISCIPLINES[rule - 1]!r} must be strictly positive"
@@ -212,35 +202,34 @@ def _row_faults(
             )
 
 
-def _read_row(header: Sequence[str], row: list[str] | ArchiveError) -> list[float]:
-    """The times of a row that :func:`load_archive` could not read by column,
-    read cell by cell, or the :class:`ArchiveError` that says why it is
-    skipped: its shape, then each time column, then its place, then the
-    rules."""
+def _skip_message(
+    header: Sequence[str], row: list[str] | ArchiveError, times: np.ndarray
+) -> str:
+    """Why :func:`load_archive` skips ``row``, whose six times the column pass
+    read as ``times``: its shape, then the first time that did not read,
+    then its place, then the rules, as a per-row load checks them."""
     if isinstance(row, ArchiveError):  # a CSV row the csv module could not read
-        raise row
+        return str(row)
     if len(row) > len(header):
-        raise ArchiveError(f"{len(row) - len(header)} field(s) beyond the header's columns")
+        return f"{len(row) - len(header)} field(s) beyond the header's columns"
     if len(row) < len(header):
         missing = [key for key in CSV_COLUMNS if key not in header[:len(row)]]
-        raise ArchiveError(f"row too short: no value for column(s) {missing}")
+        return f"row too short: no value for column(s) {missing}"
     cells = dict(zip(header, row))
-    times = []
-    for key in TIME_COLUMNS:
+    # parse_duration raises exactly where the column pass gave NaN
+    for key in compress(TIME_COLUMNS, np.isnan(times).tolist()):
         try:
-            times.append(parse_duration(cells[key]))
+            parse_duration(cells[key])
         except DurationParseError as exc:
-            raise ArchiveError(f"column {key!r}: {exc}") from exc
+            return f"column {key!r}: {exc}"
     try:
         place = int(cells["place"])
-    except ValueError as exc:
-        raise ArchiveError(f"column 'place': not an integer: {cells['place']!r}") from exc
+    except ValueError:
+        return f"column 'place': not an integer: {cells['place']!r}"
     if place > MAX_PLACE:
-        raise ArchiveError(f"finish place must be at most {MAX_PLACE}, got {place}")
+        return f"finish place must be at most {MAX_PLACE}, got {place}"
     # a place below the int64 range makes an object array, which compares alike
-    for _, fault in _row_faults(np.array([place]), np.array(times)[:, None]):
-        raise ArchiveError(fault)
-    return times
+    return next(_row_faults(np.array([place]), times[:, None]))[1]
 
 
 class _Block(NamedTuple):
@@ -299,6 +288,13 @@ def _json_blocks(path: Path) -> Iterator[_Block]:
             payload = json.load(fh)
         except RecursionError:
             raise ArchiveError(f"{path}: invalid JSON: nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ArchiveError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError:
+            raise  # load_archive words it, for CSV files too
+        except ValueError as exc:  # int() refuses a literal of that many digits
+            limit = sys.get_int_max_str_digits()
+            raise ArchiveError(f"{path}: an integer of more than {limit} digits") from exc
     if not isinstance(payload, list):
         raise ArchiveError(f"{path}: expected a JSON array of result objects")
     for start in range(0, len(payload), _BLOCK_ROWS):
@@ -345,40 +341,30 @@ def _places(texts: Sequence[str]) -> np.ndarray:
 def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
     """The rows of ``block`` that keep the row rules, by column.
 
-    Every column is parsed in one pass and :func:`_row_faults` checks the
-    rules on whole columns.  A row whose cells were all read and that breaks
-    a rule has its message appended to ``skipped``.  A row with a cell that
-    was not read goes on: a blank row of a block that ``drops_blank`` is
-    dropped, and any other goes through :func:`_read_row`, which keeps it
-    after all or words its message, so the kept rows and the messages are
-    the ones a per-row load gives.
+    Every time column is parsed in one pass, NaN where a cell does not read,
+    and :func:`_row_faults` checks the rules on whole columns, where a NaN
+    time or a place outside [1, :data:`MAX_PLACE`] breaks one.  A row that
+    breaks one is skipped: a blank row of a block that ``drops_blank``
+    without a word, any other with the message of :func:`_skip_message`
+    appended to ``skipped``, so the kept rows and the messages are the ones
+    a per-row load gives.
     """
     width = len(block.header)
-    filler = [""] * width  # reads as no time, so a misshapen row is read again
+    filler = [""] * width  # reads as no time, so a misshapen row breaks a rule
     shaped = [
         row if type(row) is list and len(row) == width else filler for row in block.rows
     ]
     columns = dict(zip(block.header, zip(*shaped)))
     times = np.vstack([parse_durations(columns[key]) for key in TIME_COLUMNS])
     places = _places(columns["place"])
-    unread = (places == 0) | np.isnan(times).any(axis=0)  # each such row breaks a rule
     kept = np.ones(len(block.rows), dtype=bool)
-    for i, fault in _row_faults(places, times, unread):  # in file order
+    for i, _ in _row_faults(places, times):  # in file order
         kept[i] = False
         row = block.rows[i]
-        if fault is None:
-            if block.drops_blank and type(row) is list and not any(map(str.strip, row)):
-                continue  # a blank line reads as no time, so it is never kept
-            try:
-                times[:, i] = _read_row(block.header, row)
-            except ArchiveError as exc:
-                fault = str(exc)
-            else:
-                # kept after all, e.g. with a padded time; its place was read by
-                # int() above as there, and a misshapen row is never kept
-                kept[i] = True
-                continue
-        skipped.append(f"{name} row {block.numbers[i]}: {fault}")
+        if block.drops_blank and type(row) is list and not any(map(str.strip, row)):
+            continue  # a blank line reads as no time, so it is never kept
+        message = _skip_message(block.header, row, times[:, i])
+        skipped.append(f"{name} row {block.numbers[i]}: {message}")
     mask = kept.tolist()
     return ResultRows(
         tuple(compress(columns["category"], mask)),
@@ -399,14 +385,15 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
     file order, naming the row by its line in a CSV file (the line it ends
     on) or its entry number in a JSON array.  The file is read and parsed
     ``_BLOCK_ROWS`` rows at a time, each time column of a block in one
-    :func:`~tripace.timekit.parse_durations` pass that checks the time
-    grammars on the column's bytes, so no row costs a record or a dict of
-    its own unless it fails a check.  A CSV row with no field but
-    whitespace fails one, and is dropped there without a message.  Raises
-    :class:`ArchiveError` for structural problems: unreadable file or
-    header, JSON nested too deeply to parse, unknown or missing columns, or
-    zero parseable rows; its message then counts the skipped rows and
-    quotes the first one's.
+    :func:`~tripace.timekit.parse_durations` pass, so no row costs a record
+    or a dict of its own unless it fails a check, and no cell is parsed
+    twice but the one that names why a row is skipped.  A CSV row with no
+    field but whitespace fails one, and is dropped there without a message.
+    Raises :class:`ArchiveError` for structural problems: unreadable file or
+    header, a file that is not UTF-8 text, JSON nested too deeply to parse
+    or with an integer longer than ``int()`` reads, unknown or missing
+    columns, or zero parseable rows; its message then counts the skipped
+    rows and quotes the first one's.
     """
     p = Path(path)
     if format == "auto":
@@ -421,8 +408,8 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
             parts.append(_read_block(block, skipped, p.name))
     except OSError as exc:
         raise ArchiveError(f"cannot read {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArchiveError(f"{p}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:  # its position counts from the reader's chunk
+        raise ArchiveError(f"{p}: not UTF-8 text ({exc.reason})") from exc
     rows = ResultRows(
         tuple(chain.from_iterable(part.categories for part in parts)),
         np.concatenate([part.places for part in parts] or [np.empty(0, np.int64)]),

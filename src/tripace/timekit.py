@@ -9,15 +9,15 @@ reads three grammars, told apart by colon count:
 * none       -- a bare non-negative number of minutes, e.g. ``102.63``
 
 :func:`parse_duration` reads them with one regex of the three.
-:func:`parse_durations` reads a whole column of such strings per call, to
-the same floats, with no regex: it checks the grammars on the column's
-bytes and reads every field from its digit bytes, a few numpy passes over
-all of them at once, and leaves to :func:`parse_duration` the strings it
-does not read, so a result file's common row costs no call per cell.  A
-string with a number longer than 15 digits, where a sum of place values
-stops being exact, goes to :func:`parse_duration` within the same call.
-The byte rules state the grammars a second time; the tests hold the two
-statements to the same strings.
+:func:`parse_durations` reads a whole column per call: each value is
+:func:`parse_duration`'s float, bit for bit, and NaN exactly where that
+raises.  It checks the grammars on the column's bytes and reads every field
+from its digit bytes, a few numpy passes over all of them at once, so a
+result file's common row costs no call per cell.  Each string the byte
+rules do not read, such as a padded one or one with a number longer than
+15 digits, goes to :func:`parse_duration` within the same call.  The byte
+rules state the grammars a second time; the tests hold the two statements
+to the same strings.
 
 :func:`format_split` renders the split cells of a report, in the first
 grammar from an hour up and in the second below, so every rendered split
@@ -99,25 +99,22 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     """Minutes of each string of ``texts``, a whole column per call.
 
     Every value is the float :func:`parse_duration` returns for its string,
-    bit for bit.  A string this path does not read is NaN, a value that
-    :func:`parse_duration` never returns: one that fits no grammar, is out
-    of range or too large, or that only :func:`parse_duration` reads, padded
-    with whitespace, with non-ASCII digits or spanning lines.  Hand those
-    strings to :func:`parse_duration`, which reads them or says what is
-    wrong.
+    bit for bit, and NaN exactly where :func:`parse_duration` raises: for a
+    string that fits no grammar, is out of range or is too large.  NaN is a
+    value :func:`parse_duration` never returns.
 
     The column is checked as one text, on its bytes.  Every byte that is
     not a digit is a mark: a colon, a point, a line end or any other byte,
     a non-ASCII character among them.  Each mark is checked against the
     grammars from its neighbours and the digits before it, all marks at
-    once; a string is read when none of its marks breaks a rule.  Each field
-    is then read from the digit bytes before its mark: a run of digits is
-    summed in int64, one place at a time, and a field with a point is that
-    integer over a power of ten, one division that rounds as ``float()``
-    does.  Both are exact only up to 15 digits, so a string that keeps every
-    rule with a number longer than that, integer and fraction digits
-    counted together, is read by :func:`parse_duration`, NaN where it
-    raises.
+    once; a string is read here when none of its marks breaks a rule.  Each
+    field is then read from the digit bytes before its mark: a run of digits
+    is summed in int64, one place at a time, and a field with a point is
+    that integer over a power of ten, one division that rounds as
+    ``float()`` does.  Both are exact only up to 15 digits, so a number
+    longer than that, integer and fraction digits counted together, breaks
+    a rule too.  Every string that breaks one, or that is out of range, goes
+    to :func:`parse_duration`, one call each.
     """
     n = len(texts)
     if not n:
@@ -125,8 +122,8 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     joined = "\n".join(texts)
     if joined.count("\n") != n - 1:  # a string that spans lines is not read here
         joined = "\n".join("" if "\n" in t else t for t in texts)
-    # One byte per character: a non-ASCII one becomes a "?", which no grammar
-    # reads.  With a closing line end, every string ends at one.
+    # One byte per character: a non-ASCII one becomes a "?", which breaks a
+    # rule.  With a closing line end, every string ends at one.
     text = np.frombuffer((joined + "\n").encode("ascii", "replace"), dtype=np.uint8)
     # every byte but a digit is a mark; uint8 bytes below "0" wrap round past 9
     figures = text - ord("0")
@@ -141,7 +138,7 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     following = np.concatenate((digits[1:], [0]))  # the run of digits after each mark
     hours_end = colon & (after == _COLON)
     last_colon = colon & ~hours_end
-    # a string is read when none of its marks breaks a rule of the grammars
+    # a string is read here when none of its marks breaks a rule of the grammars
     broken = (
         (digits == 0)  # every field holds digits, and so does each side of a point
         | ~(newline | colon | point)  # and nothing else
@@ -150,19 +147,15 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
         | colon & (before == _COLON) & (digits != 2)  # minutes after hours have two digits
         # minutes have one or two digits, and seconds two before any point
         | last_colon & ((digits > 2) | (following != 2))
+        # a number of at most _EXACT_DIGITS digits; a point's runs on past it
+        | (digits + np.where(point, following, 0) > _EXACT_DIGITS)
     )
     ends = newline.nonzero()[0]  # the line end of each string
     read = np.ones(n, dtype=bool)
     read[ends.searchsorted(broken.nonzero()[0])] = False
-    # A number of more than _EXACT_DIGITS digits, its fraction's included, is
-    # left to parse_duration; so is its string, when it keeps every rule.
-    size = digits + np.where(point, following, 0)  # a point's number runs on past it
-    long = np.zeros(n, dtype=bool)
-    long[ends.searchsorted((size > _EXACT_DIGITS).nonzero()[0])] = True
-    long &= read
-    read &= ~long
     # The integer of each run of digits, one place at a time; a longer run
-    # keeps its last digits, and its string is not read here.
+    # keeps its last digits, and its string is not read here.  Every field
+    # is below 10**15, so the total below is finite.
     run = np.minimum(digits, _EXACT_DIGITS)
     value = np.zeros(len(at), dtype=np.int64)
     for k in range(run.max()):
@@ -180,15 +173,13 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     # clipped: before a string's first field lie another string's, or none
     minutes = np.where(colons > 0, fields.take(last - 1, mode="clip"), 0.0)
     hours = np.where(colons > 1, fields.take(last - 2, mode="clip"), 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.where(colons > 0, hours * 60.0 + minutes + seconds / 60.0, seconds)
-        read &= np.isfinite(total) & (minutes < 60.0) & ((seconds < 60.0) | (colons == 0))
-    total = np.where(read, total, np.nan)
-    for i in long.nonzero()[0].tolist():
+    total = np.where(colons > 0, hours * 60.0 + minutes + seconds / 60.0, seconds)
+    read &= (minutes < 60.0) & ((seconds < 60.0) | (colons == 0))
+    for i in (~read).nonzero()[0].tolist():
         try:
             total[i] = parse_duration(texts[i])
         except DurationParseError:
-            pass
+            total[i] = np.nan
     return total
 
 

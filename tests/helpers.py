@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -322,9 +323,16 @@ def _reference_csv_rows(path: Path):
 
 
 def _reference_json_rows(path: Path):
+    def whole_number(literal: str) -> int:
+        # int() reads at most sys.get_int_max_str_digits() digits; 0 is no limit
+        limit = sys.get_int_max_str_digits()
+        if limit and len(literal.lstrip("-")) > limit:
+            raise ArchiveError(f"{path}: an integer of more than {limit} digits")
+        return int(literal)
+
     with path.open(encoding="utf-8-sig") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=whole_number)
         except RecursionError:
             raise ArchiveError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(payload, list):
@@ -358,6 +366,10 @@ def reference_load_archive(
         raise ArchiveError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"{p}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the decoder counts its position from the chunk it was given, so
+        # only the reason is quoted
+        raise ArchiveError(f"{p}: not UTF-8 text ({exc.reason})") from exc
     if not records:
         message = f"{p}: zero parseable rows"
         if skipped:

@@ -11,7 +11,7 @@ import importlib.util
 import io
 import json
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import tripace.cli
@@ -28,21 +28,22 @@ def load_spans(monkeypatch):
     return module
 
 
-def predict_stdout(argv):
-    out = io.StringIO()
-    with redirect_stdout(out):
+def cli_output(argv):
+    """stdout and stderr of one ``tripace`` call that exits 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = tripace.cli.main(argv)  # looked up here, so a traced main is called
     assert code == 0
-    return out.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
-def traced_predict(spans, argv):
-    """stdout and per-layer metrics of one ``predict`` with the tracer installed."""
+def traced_call(spans, argv):
+    """stdout, stderr and per-layer metrics of one call with the tracer installed."""
     tracer = spans.Tracer()
     tracer.install()
     try:
         tracer.begin_call()
-        traced = predict_stdout(argv)
+        traced = cli_output(argv)
         metrics = tracer.end_call()
     finally:
         tracer.uninstall()
@@ -62,8 +63,8 @@ def test_traced_predict_prints_the_untraced_report(monkeypatch):
         "predict", "--synth-spec", REFERENCE_SPEC,
         "--runs", "1", "--seed", "10", "--max-fes", "200",
     ]
-    untraced = predict_stdout(argv)
-    traced, metrics = traced_predict(spans, argv)
+    untraced = cli_output(argv)
+    traced, metrics = traced_call(spans, argv)
     assert traced == untraced
     assert metrics["pso.evals"] == 200
     assert metrics["timekit.format_calls"] > 0
@@ -81,9 +82,42 @@ def test_reference_predict_counters(monkeypatch):
         "predict", "--synth-spec", REFERENCE_SPEC, "--runs", "5", "--seed", "10",
         "--np", "50", "--max-fes", "10000", "--kmax", "300",
     ]
-    _, metrics = traced_predict(spans, argv)
+    _, metrics = traced_call(spans, argv)
     assert metrics["pso.evals"] == 50_000
     assert metrics["pso.first_feasible_eval"] == 17.0
     assert metrics["preference.feasible_eval_share"] == 8_137 / 50_000  # 0.16274
     assert metrics["preference.ceiling_reject_share"] == 21_899 / 50_000  # 0.43798
     assert metrics["pso.last_improvement_gen"] == 153.2
+
+
+# Rows as the benchmark's load_correlate file writes them, in its three time
+# grammars: five finishers, one whose swim time ends in a space, and four DNF
+# rows, whose run and overall read "DNF".
+RESULT_ROWS = """name,nation,category,place,swim,t1,bike,t2,run,overall
+ATH-00001,AUS,25-29,1,33.00,3.50,165.00,3.50,90.00,295.00
+ATH-00002,BRA,25-29,2,34:10.00,3:20.00,2:46:00.00,3:40.00,1:31:00.00,4:58:10.00
+ATH-00003,CAN,25-29,3,0:36:00.00 ,0:03:00.00,2:50:00.00,0:03:10.00,1:33:20.00,5:05:30.00
+ATH-00004,ESP,25-29,4,35.20,3.10,168.40,3.30,92.60,302.60
+ATH-00005,FRA,25-29,5,33.80,3.60,166.20,3.40,94.00,301.00
+ATH-00006,GBR,25-29,6,0:34:00.00,0:03:30.00,2:47:00.00,0:03:30.00,DNF,DNF
+ATH-00007,GER,25-29,7,35:00.00,3:30.00,2:48:00.00,3:30.00,DNF,DNF
+ATH-00008,JPN,25-29,8,36.00,3.50,169.00,3.50,DNF,DNF
+ATH-00009,NZL,25-29,9,0:37:00.00,0:03:30.00,2:49:00.00,0:03:30.00,DNF,DNF
+"""
+
+
+def test_traced_load_parses_one_cell_per_skipped_row(monkeypatch, tmp_path):
+    """The column pass reads every cell that reads, the padded one too; the
+    loader parses again only the cell that names why a DNF row is skipped."""
+    spans = load_spans(monkeypatch)
+    path = tmp_path / "results.csv"
+    path.write_text(RESULT_ROWS, encoding="utf-8")
+    argv = ["correlate", "--archive", str(path), "--group", "25-29", "--top-n", "30"]
+    untraced = cli_output(argv)
+    traced, metrics = traced_call(spans, argv)
+    assert traced == untraced
+    assert "(n=5)" in untraced[0]
+    assert untraced[1].count("column 'run': not a decimal-minutes value: 'DNF'") == 4
+    assert metrics["archive.rows_read"] == 9
+    assert metrics["archive.rows_skipped"] == 4
+    assert metrics["timekit.parse_calls"] == 4

@@ -264,6 +264,35 @@ class TestCorrelateCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: invalid JSON: nested too deeply\n"
 
+    def test_csv_archive_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        # a Latin-1 name far past the decoder's first chunk, whose position
+        # Python's message counts from that chunk, not from the file's start
+        filler = "".join(
+            f"Filler {i},SLO,PRO-M,{i},24.00,2.00,100.00,2.00,80.00,208.00\n"
+            for i in range(6, 1006)
+        )
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            (table1_csv_text() + filler).encode()
+            + "M\u00fcller,GER,PRO-M,1006,24.00,2.00,100.00,2.00,80.00,208.00\n".encode("latin-1")
+        )
+        code = main(["correlate", "--archive", str(path), "--group", "PRO-M"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_json_integer_past_the_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        entry = dict(zip(
+            ("name", "nation", "category", "swim", "t1", "bike", "t2", "run", "overall"),
+            ("A", "SLO", "M", "24.00", "2.00", "100.00", "2.00", "80.00", "208.00"),
+        ))
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps([entry])[:-2] + ', "place": 1' + "0" * limit + "}]")
+        code = main(["correlate", "--archive", str(path), "--group", "M"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: an integer of more than {limit} digits\n"
+
     def test_json_entry_not_an_object_exits_2(self, tmp_path, capsys):
         path = tmp_path / "numbers.json"
         path.write_text("[1, 2]")

@@ -190,8 +190,7 @@ def test_one_regex_parses_as_the_three_grammars_did(text):
 
 def assert_column_path_contract(texts):
     """Each value of ``parse_durations(texts)`` is the bits of ``parse_duration``
-    on its string, or NaN where that raises or the string needs stripping or
-    is not ASCII."""
+    on its string, and NaN exactly where that raises."""
     values = parse_durations(texts)
     assert values.dtype == np.float64 and values.shape == (len(texts),)
     for text, value in zip(texts, values.tolist()):
@@ -200,11 +199,7 @@ def assert_column_path_contract(texts):
         except DurationParseError:
             assert math.isnan(value), text
             continue
-        if text == text.strip() and text.isascii():
-            # the common case: read by the column path, to the bit
-            assert value.hex() == expected.hex(), text
-        else:
-            assert math.isnan(value) or value.hex() == expected.hex(), text
+        assert value.hex() == expected.hex(), text
 
 
 @given(texts=st.lists(duration_texts, max_size=12))
@@ -248,6 +243,10 @@ def long_columns(draw):
 @example(texts=["0:24:00", "1:5:07", "24.00"])
 @example(texts=["0:24:00", "1:000", "24.00"])
 @example(texts=["0:24:00", "1e5", "24.00"])
+@example(texts=["0:24:00", " 24.00 ", "24.00"])
+@example(texts=["0:24:00", "\u0662\u0664.00", "24.00"])
+@example(texts=["0:24:00", "24.00\n", "24.00"])
+@example(texts=["0:24:00", "1:00\n:00", "24.00"])
 def test_column_path_contract_holds_on_long_columns(texts):
     assert_column_path_contract(texts)
 
@@ -289,5 +288,6 @@ def near_exact_numbers(draw):
 @example(texts=["123456789012345:00:00", "1:00:59.9999999999999"])
 @example(texts=["0:24:00", "9.645669701700019", "24.00", "1234567890123456:00:00", "5:07.5"])
 def test_column_path_reads_15_digits_and_hands_longer_numbers_on(texts):
-    # every string is ASCII and stripped, so each value is parse_duration's bits
+    # The 15-digit examples are the largest fields read from the bytes; their
+    # totals are finite, so the column path needs no check for it.
     assert_column_path_contract(texts)
