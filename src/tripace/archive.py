@@ -13,14 +13,19 @@ whole columns: a finish place of at least 1, five strictly positive splits,
 and an overall within :data:`OVERALL_SLACK` of the split sum.  Every
 :class:`Archive` keeps them, and its places never decrease.  Loading
 accepts the CSV/JSON exports described in the README and keeps their rows
-by column too (:class:`ResultRows`): it reads a block of rows at a time
-straight from the CSV reader, parses each time column of the block in one
-pass, which reads every cell once, and keeps the rows that keep the row
-rules and whose places are at most :data:`MAX_PLACE`, a cap of result files
-only.  Rows that fail (splits not positive, overall not matching the split
-sum, a time that does not read) are skipped and reported rather than
-aborting the load, since public race exports routinely contain DNF/DSQ
-rows; a blank CSV row fails too, and is dropped without a word.  The split
+by column too (:class:`ResultRows`): it reads a block of rows at a time,
+parses each time column of the block in one pass, which reads every cell
+once, and keeps the rows that keep the row rules and whose places are at
+most :data:`MAX_PLACE`, a cap of result files only.  A block of CSV lines
+with no quote, no stray carriage return and the header's number of fields
+on every line, as a race export's lines are, is split into its columns on
+its commas in one call, which reads each line as the csv module does; from
+the first block that is not, the csv module reads the rest of the file,
+since a quoted field may span lines and run past any block's end.  Rows
+that fail (splits not positive, overall not matching the split sum, a time
+that does not read) are skipped and reported rather than aborting the
+load, since public race exports routinely contain DNF/DSQ rows; a blank
+CSV row fails too, and is dropped without a word.  The split
 schema, the five disciplines in race order and the vector of their times,
 lives here, below the model that predicts splits, and so does the
 synthesis spec: its keys are the parameters of :func:`synthesize_archive`.
@@ -233,25 +238,71 @@ def _skip_message(
 
 
 class _Block(NamedTuple):
-    """Up to ``_BLOCK_ROWS`` consecutive rows of a result file.
+    """Up to ``_BLOCK_ROWS`` consecutive rows of a result file, by column.
 
-    ``numbers`` names each row by its CSV line or JSON entry number.  A row
-    is a list of its fields in the order of ``header``, or the
-    :class:`ArchiveError` of a CSV row the csv module could not read.  A
-    CSV block may hold blank rows, with no field but whitespace, which are
-    no rows of the file: ``drops_blank`` says to drop them without a word.
+    ``numbers`` names each row by its CSV line or JSON entry number, and
+    ``columns`` holds one sequence of fields per column of ``header``.
+    ``rows`` is None when each row is its fields in the columns, as in a
+    block of lines split on their commas.  Otherwise it holds each row as
+    read: a list of its fields, or the :class:`ArchiveError` of a CSV row
+    the csv module could not read; a row of another width than ``header``
+    stands in the columns as empty fields.  A CSV block may hold blank rows,
+    with no field but whitespace, which are no rows of the file:
+    ``drops_blank`` says to drop them without a word.
     """
 
     header: Sequence[str]
     numbers: Sequence[int]
-    rows: Sequence[list[str] | ArchiveError]
+    columns: Sequence[Sequence[str]]
+    rows: Sequence[list[str] | ArchiveError] | None
     drops_blank: bool
+
+
+def _by_column(rows: Sequence[list[str] | ArchiveError], width: int) -> list[tuple[str, ...]]:
+    """The ``width`` columns of ``rows``, a misshapen or unread row as empty fields,
+    which read as no time, so that the row breaks a rule."""
+    filler = [""] * width
+    return list(zip(*[row if type(row) is list and len(row) == width else filler for row in rows]))
+
+
+def _split_columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The ``width`` columns of ``lines``, each line split on its commas, or
+    None when the csv module might read a line otherwise.
+
+    The csv module reads a line as exactly its split when the line has no
+    quote, no line end but the one it ends on, exactly ``width`` fields and
+    no field longer than ``csv.field_size_limit()``.  The lines are checked
+    as one text and split in one call, each line end becoming a field of
+    its own, ``"\\n"``, which no other field is: the line ends sit every
+    ``width + 1`` fields exactly when every line has ``width`` fields.
+    """
+    text = "".join(lines)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not text.endswith("\n"):  # the file's last line may have no line end
+        text += "\n"
+    limit = csv.field_size_limit()
+    if '"' in text or "\r" in text or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    flat = text.replace("\n", ",\n,").split(",")  # and an empty field after the last
+    stride = width + 1
+    size = len(lines) * stride
+    if len(flat) != size + 1 or flat[width::stride].count("\n") != len(lines):
+        return None
+    return [flat[k:size:stride] for k in range(width)]
 
 
 def _csv_blocks(path: Path) -> Iterator[_Block]:
     """The rows of a CSV file in blocks, each row with the file line it ends on.
 
-    A row the csv module cannot read, such as one with a field over
+    The header is read by the csv module.  Then each block of
+    ``_BLOCK_ROWS`` lines that :func:`_split_columns` reads, as a race
+    export's lines with no quote are, is split on its commas, one row per
+    line.  From the first block it does not read, the csv module reads the
+    rest of the file, that block included, as it reads quoted fields, fields
+    that span lines and blank or ragged rows; a quoted field may run past
+    any block's end, so the split does not take over again.  A row the csv
+    module cannot read, such as one with a field over
     ``csv.field_size_limit()``, ends its block as an :class:`ArchiveError`;
     the next block resumes at the next line.  An unreadable header raises it.
     """
@@ -265,19 +316,32 @@ def _csv_blocks(path: Path) -> Iterator[_Block]:
         if header is None:
             raise ArchiveError(f"{path}: missing header row")
         _check_columns(header, path)
+        start = reader.line_num  # the lines read so far
+        while True:
+            # with newline="", the file gives the lines the csv module reads
+            lines = list(islice(fh, _BLOCK_ROWS))
+            if not lines:
+                return
+            columns = _split_columns(lines, len(header))
+            if columns is None:
+                break
+            numbers = range(start + 1, start + 1 + len(lines))
+            yield _Block(header, numbers, columns, None, drops_blank=True)
+            start += len(lines)
+        reader = csv.reader(chain(lines, fh))  # counts its lines from this block's first
         while True:
             numbers: list[int] = []
             rows: list[list[str] | ArchiveError] = []
             try:
                 for fields in islice(reader, _BLOCK_ROWS):
                     rows.append(fields)
-                    numbers.append(reader.line_num)
+                    numbers.append(start + reader.line_num)
             except csv.Error as exc:
                 rows.append(ArchiveError(str(exc)))
-                numbers.append(reader.line_num)
+                numbers.append(start + reader.line_num)
             if not rows:
                 return
-            yield _Block(header, numbers, rows, drops_blank=True)
+            yield _Block(header, numbers, _by_column(rows, len(header)), rows, drops_blank=True)
 
 
 def _json_blocks(path: Path) -> Iterator[_Block]:
@@ -304,7 +368,9 @@ def _json_blocks(path: Path) -> Iterator[_Block]:
                 raise ArchiveError(f"{path}: entry {i} is not a result object: {entry!r}")
             _check_columns(entry.keys(), path)
             rows.append([str(entry[key]) for key in CSV_COLUMNS])
-        yield _Block(CSV_COLUMNS, range(start + 1, start + 1 + len(rows)), rows, drops_blank=False)
+        numbers = range(start + 1, start + 1 + len(rows))
+        columns = _by_column(rows, len(CSV_COLUMNS))
+        yield _Block(CSV_COLUMNS, numbers, columns, rows, drops_blank=False)
 
 
 def _check_columns(names: Iterable[str], path: Path) -> None:
@@ -349,18 +415,13 @@ def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
     appended to ``skipped``, so the kept rows and the messages are the ones
     a per-row load gives.
     """
-    width = len(block.header)
-    filler = [""] * width  # reads as no time, so a misshapen row breaks a rule
-    shaped = [
-        row if type(row) is list and len(row) == width else filler for row in block.rows
-    ]
-    columns = dict(zip(block.header, zip(*shaped)))
+    columns = dict(zip(block.header, block.columns))
     times = np.vstack([parse_durations(columns[key]) for key in TIME_COLUMNS])
     places = _places(columns["place"])
-    kept = np.ones(len(block.rows), dtype=bool)
+    kept = np.ones(len(block.numbers), dtype=bool)
     for i, _ in _row_faults(places, times):  # in file order
         kept[i] = False
-        row = block.rows[i]
+        row = [column[i] for column in block.columns] if block.rows is None else block.rows[i]
         if block.drops_blank and type(row) is list and not any(map(str.strip, row)):
             continue  # a blank line reads as no time, so it is never kept
         message = _skip_message(block.header, row, times[:, i])
@@ -387,8 +448,13 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
     ``_BLOCK_ROWS`` rows at a time, each time column of a block in one
     :func:`~tripace.timekit.parse_durations` pass, so no row costs a record
     or a dict of its own unless it fails a check, and no cell is parsed
-    twice but the one that names why a row is skipped.  A CSV row with no
-    field but whitespace fails one, and is dropped there without a message.
+    twice but the one that names why a row is skipped.  A CSV file is read
+    as the csv module reads it, but its blocks up to the first one that the
+    csv module might read otherwise (with a quote, a stray carriage return,
+    a line of another number of fields or an oversized field) are split on
+    their commas, with no list per row (:func:`_csv_blocks`).
+    A CSV row with no field but whitespace fails a check, and is dropped
+    there without a message.
     Raises :class:`ArchiveError` for structural problems: unreadable file or
     header, a file that is not UTF-8 text, JSON nested too deeply to parse
     or with an integer longer than ``int()`` reads, unknown or missing

@@ -663,6 +663,8 @@ EDGE_TIMES = [
     " 24.00", "24.00 ", "\u0662\u0664.00", "0:24:00", "24:00", "1:59:59.999", "59.999",
     "9" * 400 + ":00:00", "9" * 400, "0", "0:00", "60:00", "1:60:00", "DNF", "", '"24\n.00"',
 ]
+# The edge cells with no quote, which a line split on its commas reads too.
+PLAIN_TIMES = [t for t in EDGE_TIMES if '"' not in t]
 
 # Rows whose every time reads, so that only the record rules decide: a zero
 # split, overalls at the slack's edge, tiny splits with a zero overall, and
@@ -678,29 +680,40 @@ EDGE_ROWS = [
 # A row with a field the csv module refuses to read, which ends its block.
 OVERSIZED = "x" * (csv.field_size_limit() + 1)
 
+# Lines between rows: a blank row of empty fields, which splits on its
+# commas as any row does, and blank, ragged and oversized lines, which the
+# csv module reads.
+PLAIN_EXTRAS = [None, None, None, ",,,,,,,,,", *EDGE_ROWS]
+EXTRAS = [*PLAIN_EXTRAS, "", "x,y", ",,,,,,,,,,stray", OVERSIZED]
+
 
 @st.composite
 def edge_csv_texts(draw):
     """The reference rows with edge cells put in, ragged, blank, multi-line
     and unreadable rows between them, and a row repeated so that it spans
-    several blocks."""
+    several blocks.  The rows before a drawn one have only lines that split
+    on their commas, so the first quoted or misshapen line may sit after
+    several blocks; a name may hold a NUL, and the lines end in LF, CRLF or
+    a lone CR, the last one or not."""
     lines = [",".join(CSV_COLUMNS)]
-    for fields in draw(st.permutations(TABLE1_ROWS)) * draw(st.integers(1, 3)):
+    records = draw(st.permutations(TABLE1_ROWS)) * draw(st.integers(1, 3))
+    plain = draw(st.integers(0, len(records)))
+    for index, fields in enumerate(records):
+        late = index >= plain
         cells = [str(f) for f in fields]
         for _ in range(draw(st.integers(0, 2))):
             column = draw(st.integers(3, 9))
-            cells[column] = draw(st.sampled_from(EDGE_PLACES if column == 3 else EDGE_TIMES))
+            times = EDGE_TIMES if late else PLAIN_TIMES
+            cells[column] = draw(st.sampled_from(EDGE_PLACES if column == 3 else times))
         if draw(st.booleans()):
-            cells[0] = draw(st.sampled_from(['"Two\nLines"', '" padded "', '"a,b"']))
+            quoted = ['"Two\nLines"', '" padded "', '"a,b"'] if late else []
+            cells[0] = draw(st.sampled_from(["Nul\x00Name", *quoted]))
         lines.append(",".join(cells))
-        extra = draw(
-            st.sampled_from(
-                [None, None, None, "", ",,,,,,,,,", "x,y", ",,,,,,,,,,stray", OVERSIZED, *EDGE_ROWS]
-            )
-        )
+        extra = draw(st.sampled_from(EXTRAS if late else PLAIN_EXTRAS))
         if extra is not None:
             lines.append(extra)
-    return "\n".join(lines) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
 
 
 def load_outcome(load, path):
@@ -737,6 +750,73 @@ def test_load_archive_matches_the_per_row_loader(archive, block):
         assert not isinstance(got[0], type), got
         assert_same_rows(got[0], expected[0])
         assert got[1] == expected[1]
+
+
+def read_paths(path, block):
+    """Load ``path`` in blocks of ``block`` rows, and say how its lines were
+    read: what each block's split gave (its columns, or None where the csv
+    module takes over) and the number of lines each csv reader read."""
+    splits, readers = [], []
+
+    def split_spy(lines, width):
+        splits.append(split_columns(lines, width))
+        return splits[-1]
+
+    def reader_spy(lines):
+        readers.append(csv_reader(lines))
+        return readers[-1]
+
+    split_columns, csv_reader = archive_module._split_columns, csv.reader
+    with (
+        mock.patch.object(archive_module, "_BLOCK_ROWS", block),
+        mock.patch.object(archive_module, "_split_columns", split_spy),
+        mock.patch.object(archive_module.csv, "reader", reader_spy),
+    ):
+        got = load_archive(path)
+    return got, splits, [reader.line_num for reader in readers]
+
+
+class TestReadPaths:
+    """A block of lines that split on their commas as the csv module reads
+    them is split, and the csv module reads from the first block that is not."""
+
+    # 10 rows, read in blocks of 3, 3, 3 and 1; the last row is a DNF
+    ROWS = [",".join(map(str, fields)) for fields in TABLE1_ROWS] * 2
+    ROWS[-1] = ROWS[-1].rsplit(",", 1)[0] + ",DNF"
+
+    def load(self, tmp_path, rows, end="\n", last_end="\n"):
+        """``split is None`` for each block, and the lines each csv reader
+        read, after checking the load against the per-row loader."""
+        path = tmp_path / "paths.csv"
+        path.write_bytes((end.join([",".join(CSV_COLUMNS), *rows]) + last_end).encode())
+        (loaded, skipped), splits, read = read_paths(path, 3)
+        records, expected = reference_load_archive(path)
+        assert_same_rows(loaded, rows_from_records(records))
+        assert skipped == expected and skipped[-1].startswith("paths.csv row 11: column 'overall'")
+        return [split is None for split in splits], read
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("last_end", ["\n", "\r\n", ""])
+    def test_quote_free_rows_never_reach_the_csv_module(self, tmp_path, end, last_end):
+        assert self.load(tmp_path, self.ROWS, end, last_end) == ([False] * 4, [1])
+
+    def test_csv_module_reads_from_the_block_with_a_quote(self, tmp_path):
+        rows = list(self.ROWS)
+        rows[7] = '"Quoted, Name",' + rows[7].split(",", 1)[1]  # in the third block
+        # the header's line, then lines 8 to 11 of the file
+        assert self.load(tmp_path, rows) == ([False, False, True], [1, 4])
+
+    def test_csv_module_reads_ragged_rows_whose_commas_add_up(self, tmp_path):
+        rows = list(self.ROWS)
+        rows[3] = rows[3].replace(",PRO-M", "")  # a field short, and one too many
+        rows[4] = rows[4].replace(",PRO-M", ",PRO-M,")
+        assert self.load(tmp_path, rows) == ([False, True], [1, 7])
+
+    def test_csv_module_reads_a_last_line_ending_in_a_lone_cr(self, tmp_path):
+        assert self.load(tmp_path, self.ROWS, last_end="\r") == ([False] * 3 + [True], [1, 1])
+
+    def test_csv_module_reads_every_block_of_lines_ending_in_a_lone_cr(self, tmp_path):
+        assert self.load(tmp_path, self.ROWS, "\r", "\r") == ([True], [1, 10])
 
 
 # Times a row's values can take: ordinary ones, zero, a tiny one, one that

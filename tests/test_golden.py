@@ -9,10 +9,11 @@ its ``load_correlate`` call (``correlate`` on a 10 000-row result file with
 200 DNF rows) are checked at seed 10 by the SHA-256 of their stdout, against
 ``perfbench/golden.json``; the 200 skipped-row lines that ``load_correlate``
 prints on stderr are compared byte for byte with
-``tests/golden/load_correlate_seed10.stderr``.  The ``synth`` files of the
-reference spec and of the benchmark's whole-field spec are pinned by their
-SHA-256.  A change that moves a single byte of these outputs changes
-behaviour.
+``tests/golden/load_correlate_seed10.stderr``.  Both also hold for the
+same file with CRLF line ends and for it with one name quoted in its
+last block.  The ``synth`` files of the reference spec and of the
+benchmark's whole-field spec are pinned by their SHA-256.  A change that
+moves a single byte of these outputs changes behaviour.
 
 To regenerate the report files after an intended behaviour change::
 
@@ -133,9 +134,9 @@ def result_file(bench_inputs, folder: Path, seed: int = 10) -> Path:
     return path
 
 
-def test_correlate_report_matches_benchmark_hash(bench_inputs, tmp_path):
-    # the benchmark's load_correlate call; its stderr names every skipped DNF row
-    path = result_file(bench_inputs, tmp_path)
+def assert_golden_correlate_output(path: Path) -> None:
+    """The benchmark's load_correlate call on ``path`` prints the golden
+    stdout and names every skipped DNF row on stderr as the golden file does."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["correlate", "--archive", str(path), "--group", "25-29", "--top-n", "30"])
@@ -144,6 +145,33 @@ def test_correlate_report_matches_benchmark_hash(bench_inputs, tmp_path):
     assert digest == benchmark_hash("load_correlate")
     expected = (GOLDEN_DIR / "load_correlate_seed10.stderr").read_bytes()
     assert err.getvalue().encode("utf-8") == expected
+
+
+def test_correlate_report_matches_benchmark_hash(bench_inputs, tmp_path):
+    assert_golden_correlate_output(result_file(bench_inputs, tmp_path))
+
+
+def crlf_lines(text: str) -> str:
+    return text.replace("\n", "\r\n")
+
+
+def quoted_last_name(text: str) -> str:
+    """``text`` with the name of its last row quoted, a DNF row in the
+    file's last block, which the csv module reads to the same fields."""
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    name, rest = last.split(",", 1)
+    return f'{head}\n"{name}",{rest}\n'
+
+
+@pytest.mark.parametrize("rewrite", [crlf_lines, quoted_last_name])
+def test_correlate_output_is_the_same_for_other_line_ends_and_quotes(
+    rewrite, bench_inputs, tmp_path
+):
+    path = result_file(bench_inputs, tmp_path)
+    text = path.read_text(encoding="utf-8")
+    assert rewrite(text) != text
+    path.write_bytes(rewrite(text).encode("utf-8"))  # no newline translation
+    assert_golden_correlate_output(path)
 
 
 # seed 10 and seed 23, the two benchmark files that load timings are taken on
