@@ -17,15 +17,15 @@ by column too (:class:`ResultRows`): it reads a block of rows at a time,
 parses each time column of the block in one pass, which reads every cell
 once, and keeps the rows that keep the row rules and whose places are at
 most :data:`MAX_PLACE`, a cap of result files only.  A block of CSV lines
-with no quote, no stray carriage return and the header's number of fields
-on every line, as a race export's lines are, is split into its columns on
-its commas in one call, which reads each line as the csv module does; from
-the first block that is not, the csv module reads the rest of the file,
-since a quoted field may span lines and run past any block's end.  Rows
-that fail (splits not positive, overall not matching the split sum, a time
-that does not read) are skipped and reported rather than aborting the
-load, since public race exports routinely contain DNF/DSQ rows; a blank
-CSV row fails too, and is dropped without a word.  The split
+with no quote, no stray carriage return, no NUL and the header's number of
+fields on every line, as a race export's lines are, is split into its
+columns on its commas in one call, which reads each line as the csv module
+does; from the first block that is not, the csv module reads the rest of
+the file, since a quoted field may span lines and run past any block's
+end.  Rows that fail (splits not positive, overall not matching the split
+sum, a time that does not read) are skipped and reported rather than
+aborting the load, since public race exports routinely contain DNF/DSQ
+rows; a blank CSV row fails too, and is dropped without a word.  The split
 schema, the five disciplines in race order and the vector of their times,
 lives here, below the model that predicts splits, and so does the
 synthesis spec: its keys are the parameters of :func:`synthesize_archive`.
@@ -238,31 +238,23 @@ def _skip_message(
 
 
 class _Block(NamedTuple):
-    """Up to ``_BLOCK_ROWS`` consecutive rows of a result file, by column.
+    """Up to ``_BLOCK_ROWS`` consecutive rows of a result file.
 
-    ``numbers`` names each row by its CSV line or JSON entry number, and
-    ``columns`` holds one sequence of fields per column of ``header``.
-    ``rows`` is None when each row is its fields in the columns, as in a
-    block of lines split on their commas.  Otherwise it holds each row as
-    read: a list of its fields, or the :class:`ArchiveError` of a CSV row
-    the csv module could not read; a row of another width than ``header``
-    stands in the columns as empty fields.  A CSV block may hold blank rows,
-    with no field but whitespace, which are no rows of the file:
-    ``drops_blank`` says to drop them without a word.
+    ``numbers`` names each row by its CSV line or JSON entry number.  A
+    block of lines split on their commas holds ``columns``, one list of
+    fields per column of ``header``, and no ``rows``.  Any other block
+    holds ``rows`` and no ``columns``: each row as read, a list of its
+    fields or the :class:`ArchiveError` of a CSV row the csv module could
+    not read.  A CSV block may hold blank rows, with no field but
+    whitespace, which are no rows of the file: ``drops_blank`` says to drop
+    them without a word.
     """
 
     header: Sequence[str]
     numbers: Sequence[int]
-    columns: Sequence[Sequence[str]]
+    columns: Sequence[Sequence[str]] | None
     rows: Sequence[list[str] | ArchiveError] | None
     drops_blank: bool
-
-
-def _by_column(rows: Sequence[list[str] | ArchiveError], width: int) -> list[tuple[str, ...]]:
-    """The ``width`` columns of ``rows``, a misshapen or unread row as empty fields,
-    which read as no time, so that the row breaks a rule."""
-    filler = [""] * width
-    return list(zip(*[row if type(row) is list and len(row) == width else filler for row in rows]))
 
 
 def _split_columns(lines: list[str], width: int) -> list[list[str]] | None:
@@ -270,19 +262,22 @@ def _split_columns(lines: list[str], width: int) -> list[list[str]] | None:
     None when the csv module might read a line otherwise.
 
     The csv module reads a line as exactly its split when the line has no
-    quote, no line end but the one it ends on, exactly ``width`` fields and
-    no field longer than ``csv.field_size_limit()``.  The lines are checked
-    as one text and split in one call, each line end becoming a field of
-    its own, ``"\\n"``, which no other field is: the line ends sit every
-    ``width + 1`` fields exactly when every line has ``width`` fields.
+    quote, no line end but the one it ends on, no NUL (which it refuses
+    before Python 3.11), exactly ``width`` fields and no field longer than
+    ``csv.field_size_limit()``.  The lines are checked as one text and
+    split in one call, each line end becoming a field of its own, ``"\\n"``,
+    which no other field is: the line ends sit every ``width + 1`` fields
+    exactly when every line has ``width`` fields.
     """
     text = "".join(lines)
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):  # the file's last line may have no line end
         text += "\n"
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
     limit = csv.field_size_limit()
-    if '"' in text or "\r" in text or (len(text) > limit and max(map(len, lines)) > limit):
+    if len(text) > limit and max(map(len, lines)) > limit:
         return None
     flat = text.replace("\n", ",\n,").split(",")  # and an empty field after the last
     stride = width + 1
@@ -328,20 +323,23 @@ def _csv_blocks(path: Path) -> Iterator[_Block]:
             numbers = range(start + 1, start + 1 + len(lines))
             yield _Block(header, numbers, columns, None, drops_blank=True)
             start += len(lines)
-        reader = csv.reader(chain(lines, fh))  # counts its lines from this block's first
+        # The reader counts the lines it reads, so blank lines stand in for
+        # the ones read before this block, and their empty rows are passed over.
+        reader = csv.reader(chain(repeat("\n", start), lines, fh))
+        next(islice(reader, start, start), None)
         while True:
             numbers: list[int] = []
             rows: list[list[str] | ArchiveError] = []
             try:
                 for fields in islice(reader, _BLOCK_ROWS):
                     rows.append(fields)
-                    numbers.append(start + reader.line_num)
+                    numbers.append(reader.line_num)
             except csv.Error as exc:
                 rows.append(ArchiveError(str(exc)))
-                numbers.append(start + reader.line_num)
+                numbers.append(reader.line_num)
             if not rows:
                 return
-            yield _Block(header, numbers, _by_column(rows, len(header)), rows, drops_blank=True)
+            yield _Block(header, numbers, None, rows, drops_blank=True)
 
 
 def _json_blocks(path: Path) -> Iterator[_Block]:
@@ -369,8 +367,7 @@ def _json_blocks(path: Path) -> Iterator[_Block]:
             _check_columns(entry.keys(), path)
             rows.append([str(entry[key]) for key in CSV_COLUMNS])
         numbers = range(start + 1, start + 1 + len(rows))
-        columns = _by_column(rows, len(CSV_COLUMNS))
-        yield _Block(CSV_COLUMNS, numbers, columns, rows, drops_blank=False)
+        yield _Block(CSV_COLUMNS, numbers, None, rows, drops_blank=False)
 
 
 def _check_columns(names: Iterable[str], path: Path) -> None:
@@ -415,13 +412,24 @@ def _read_block(block: _Block, skipped: list[str], name: str) -> ResultRows:
     appended to ``skipped``, so the kept rows and the messages are the ones
     a per-row load gives.
     """
-    columns = dict(zip(block.header, block.columns))
+    fields = block.columns
+    if fields is None:
+        # Made here, not by the reader, the columns are gone before the next
+        # block is read; while they live, each garbage collection that the
+        # next block's row lists set off passes over all their fields.
+        width = len(block.header)
+        filler = [""] * width  # reads as no time, so a misshapen row breaks a rule
+        shaped = [
+            row if type(row) is list and len(row) == width else filler for row in block.rows
+        ]
+        fields = list(zip(*shaped))
+    columns = dict(zip(block.header, fields))
     times = np.vstack([parse_durations(columns[key]) for key in TIME_COLUMNS])
     places = _places(columns["place"])
     kept = np.ones(len(block.numbers), dtype=bool)
     for i, _ in _row_faults(places, times):  # in file order
         kept[i] = False
-        row = [column[i] for column in block.columns] if block.rows is None else block.rows[i]
+        row = [column[i] for column in fields] if block.rows is None else block.rows[i]
         if block.drops_blank and type(row) is list and not any(map(str.strip, row)):
             continue  # a blank line reads as no time, so it is never kept
         message = _skip_message(block.header, row, times[:, i])
@@ -451,8 +459,8 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
     twice but the one that names why a row is skipped.  A CSV file is read
     as the csv module reads it, but its blocks up to the first one that the
     csv module might read otherwise (with a quote, a stray carriage return,
-    a line of another number of fields or an oversized field) are split on
-    their commas, with no list per row (:func:`_csv_blocks`).
+    a NUL, a line of another number of fields or an oversized field) are
+    split on their commas, with no list per row (:func:`_csv_blocks`).
     A CSV row with no field but whitespace fails a check, and is dropped
     there without a message.
     Raises :class:`ArchiveError` for structural problems: unreadable file or

@@ -13,13 +13,13 @@ reads three grammars, told apart by colon count:
 :func:`parse_duration`'s float, bit for bit, and NaN exactly where that
 raises.  It checks the grammars on the column's bytes and reads every field
 from its digit bytes, a few numpy passes over all of them at once, so a
-result file's common row costs no call per cell.  A bare decimal longer
-than 15 digits is read by numpy, as ``float()`` reads it, and a string
-with no digit, such as ``DNF``, which fits no grammar, is NaN after one
-regex search.  Each other string the byte rules do not read, such as a
-padded one, goes to :func:`parse_duration` within the same call.  The
-byte rules state the grammars a second time; the tests hold the two
-statements to the same strings.
+result file's common row costs no call per cell.  A string with no
+digit, such as ``DNF``, which fits no grammar, is NaN after one regex
+search.  Each other string the byte rules do not read, such as a padded
+one or one with a number longer than 15 digits, goes to
+:func:`parse_duration` within the same call.  The byte rules state the
+grammars a second time; the tests hold the two statements to the same
+strings.
 
 :func:`format_split` renders the split cells of a report, in the first
 grammar from an hour up and in the second below, so every rendered split
@@ -117,12 +117,10 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     is summed in int64, one place at a time, and a field with a point is
     that integer over a power of ten, one division that rounds as
     ``float()`` does.  Both are exact only up to 15 digits, so a number
-    longer than that, integer and fraction digits counted together, is not
-    read from its bytes: a bare decimal that breaks no other rule is read
-    by one ``np.array(..., dtype=np.float64)`` call for all of them, which
-    rounds as ``float()`` does.  A string with no digit, ASCII or not, is
-    NaN: every grammar needs one.  Every other string that breaks a rule,
-    or that is out of range, goes to :func:`parse_duration`, one call each.
+    longer than that, integer and fraction digits counted together, breaks
+    a rule too.  A string with no digit, ASCII or not, is NaN: every
+    grammar needs one.  Every other string that breaks a rule, or that is
+    out of range, goes to :func:`parse_duration`, one call each.
     """
     n = len(texts)
     if not n:
@@ -155,12 +153,12 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
         | colon & (before == _COLON) & (digits != 2)  # minutes after hours have two digits
         # minutes have one or two digits, and seconds two before any point
         | last_colon & ((digits > 2) | (following != 2))
+        # a number of at most _EXACT_DIGITS digits; a point's runs on past it
+        | (digits + np.where(point, following, 0) > _EXACT_DIGITS)
     )
-    # a number of more than _EXACT_DIGITS digits; a point's runs on past it
-    too_long = digits + np.where(point, following, 0) > _EXACT_DIGITS
     ends = newline.nonzero()[0]  # the line end of each string
     read = np.ones(n, dtype=bool)
-    read[ends.searchsorted((broken | too_long).nonzero()[0])] = False
+    read[ends.searchsorted(broken.nonzero()[0])] = False
     # The integer of each run of digits, one place at a time; a longer run
     # keeps its last digits, and its string is not read here.  Every field
     # is below 10**15, so the total below is finite.
@@ -183,19 +181,6 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     hours = np.where(colons > 1, fields.take(last - 2, mode="clip"), 0.0)
     total = np.where(colons > 0, hours * 60.0 + minutes + seconds / 60.0, seconds)
     read &= (minutes < 60.0) & ((seconds < 60.0) | (colons == 0))
-    long = too_long.nonzero()[0]
-    if len(long):
-        # A bare decimal too long to read from its bytes that breaks no other
-        # rule: numpy rounds it as float() does, and parse_duration raises
-        # where that is not finite.
-        decimal = np.zeros(n, dtype=bool)
-        decimal[ends.searchsorted(long)] = True
-        decimal[ends.searchsorted(broken.nonzero()[0])] = False
-        decimal &= colons == 0
-        picked = decimal.nonzero()[0]
-        values = np.array([texts[i] for i in picked.tolist()], dtype=np.float64)
-        total[picked] = np.where(np.isfinite(values), values, np.nan)
-        read |= decimal
     for i in (~read).nonzero()[0].tolist():
         if _DIGIT.search(texts[i]) is None:  # such as DNF: every grammar needs a digit
             total[i] = np.nan
