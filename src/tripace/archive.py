@@ -17,18 +17,18 @@ by column too (:class:`ResultRows`): it reads a block of rows at a time,
 parses each time column of the block in one pass, which reads every cell
 once, and keeps the rows that keep the row rules and whose places are at
 most :data:`MAX_PLACE`, a cap of result files only.  A block of CSV lines
-with no quote, no stray carriage return, no NUL and the header's number of
-fields on every line, as a race export's lines are, is split into its
-columns on its commas in one call, which reads each line as the csv module
-does; from the first block that is not, the csv module reads the rest of
-the file, since a quoted field may span lines and run past any block's
-end.  Rows that fail (splits not positive, overall not matching the split
-sum, a time that does not read) are skipped and reported rather than
-aborting the load, since public race exports routinely contain DNF/DSQ
-rows; a blank CSV row fails too, and is dropped without a word.  The split
-schema, the five disciplines in race order and the vector of their times,
-lives here, below the model that predicts splits, and so does the
-synthesis spec: its keys are the parameters of :func:`synthesize_archive`.
+is split into its columns on its commas in one call, which reads each line
+as the csv module does, unless it holds a quote, a line of another number
+of fields than the header's or a field over ``csv.field_size_limit()``;
+from the first block that does, the csv module reads the rest of the file,
+since a quoted field may span lines and run past any block's end.  Rows
+that fail (splits not positive, overall not matching the split sum, a time
+that does not read) are skipped and reported rather than aborting the
+load, since public race exports routinely contain DNF/DSQ rows; a blank
+CSV row fails too, and is dropped without a word.  The split schema, the
+five disciplines in race order and the vector of their times, lives here,
+below the model that predicts splits, and so does the synthesis spec: its
+keys are the parameters of :func:`synthesize_archive`.
 """
 
 from __future__ import annotations
@@ -261,20 +261,22 @@ def _split_columns(lines: list[str], width: int) -> list[list[str]] | None:
     """The ``width`` columns of ``lines``, each line split on its commas, or
     None when the csv module might read a line otherwise.
 
-    The csv module reads a line as exactly its split when the line has no
-    quote, no line end but the one it ends on, no NUL (which it refuses
-    before Python 3.11), exactly ``width`` fields and no field longer than
-    ``csv.field_size_limit()``.  The lines are checked as one text and
-    split in one call, each line end becoming a field of its own, ``"\\n"``,
-    which no other field is: the line ends sit every ``width + 1`` fields
-    exactly when every line has ``width`` fields.
+    The csv module reads a line as exactly its split unless the line has a
+    quote, another number of fields than ``width`` or a field over
+    ``csv.field_size_limit()``, which a line over that limit is taken to
+    hold.  Read with ``newline=""``, a line holds a carriage return only as
+    its line end, alone or before a LF, so each line end becomes one LF.
+    The lines are checked as one text and split in one call, each line end
+    becoming a field of its own, ``"\\n"``, which no other field is: the
+    line ends sit every ``width + 1`` fields exactly when every line has
+    ``width`` fields.
     """
     text = "".join(lines)
     if "\r" in text:
-        text = text.replace("\r\n", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.endswith("\n"):  # the file's last line may have no line end
         text += "\n"
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text:
         return None
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, lines)) > limit:
@@ -291,15 +293,16 @@ def _csv_blocks(path: Path) -> Iterator[_Block]:
     """The rows of a CSV file in blocks, each row with the file line it ends on.
 
     The header is read by the csv module.  Then each block of
-    ``_BLOCK_ROWS`` lines that :func:`_split_columns` reads, as a race
-    export's lines with no quote are, is split on its commas, one row per
-    line.  From the first block it does not read, the csv module reads the
-    rest of the file, that block included, as it reads quoted fields, fields
-    that span lines and blank or ragged rows; a quoted field may run past
-    any block's end, so the split does not take over again.  A row the csv
-    module cannot read, such as one with a field over
-    ``csv.field_size_limit()``, ends its block as an :class:`ArchiveError`;
-    the next block resumes at the next line.  An unreadable header raises it.
+    ``_BLOCK_ROWS`` lines is split on its commas by :func:`_split_columns`,
+    one row per line, unless it holds a quote, a line of another number of
+    fields or a field over ``csv.field_size_limit()``.  From the first block
+    that does, the csv module reads the rest of the file, that block
+    included, as it reads quoted fields, fields that span lines and blank or
+    ragged rows; a quoted field may run past any block's end, so the split
+    does not take over again.  A row the csv module cannot read, such as one
+    with a field over ``csv.field_size_limit()``, ends its block as an
+    :class:`ArchiveError`; the next block resumes at the next line.  An
+    unreadable header raises it.
     """
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -457,10 +460,10 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
     :func:`~tripace.timekit.parse_durations` pass, so no row costs a record
     or a dict of its own unless it fails a check, and no cell is parsed
     twice but the one that names why a row is skipped.  A CSV file is read
-    as the csv module reads it, but its blocks up to the first one that the
-    csv module might read otherwise (with a quote, a stray carriage return,
-    a NUL, a line of another number of fields or an oversized field) are
-    split on their commas, with no list per row (:func:`_csv_blocks`).
+    as the csv module reads it, but its blocks up to the first one with a
+    quote, a line of another number of fields or a field over
+    ``csv.field_size_limit()`` are split on their commas, with no list per
+    row (:func:`_csv_blocks`).
     A CSV row with no field but whitespace fails a check, and is dropped
     there without a message.
     Raises :class:`ArchiveError` for structural problems: unreadable file or

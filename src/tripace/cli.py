@@ -8,8 +8,8 @@ Three subcommands:
                    coach checks before trusting any prediction
 * ``synth``     -- generate a synthetic archive and write it as CSV
 
-Exit codes: 0 success, 2 unusable input (file, schema, configuration),
-3 experiment ran but every run was infeasible.
+Exit codes: 0 success, 2 unusable input (file, schema, configuration, or
+a size too large to allocate), 3 experiment ran but every run was infeasible.
 """
 
 from __future__ import annotations
@@ -222,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ArchiveError, SynthesisError, CorrelationUndefinedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # a synthetic archive or a swarm too large to hold
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
 
 

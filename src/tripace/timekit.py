@@ -165,6 +165,7 @@ def parse_durations(texts: Sequence[str]) -> np.ndarray:
     run = np.minimum(digits, _EXACT_DIGITS)
     value = np.zeros(len(at), dtype=np.int64)
     for k in range(run.max()):
+        # uint8 digits times the int64 power are int64 only under numpy 2 promotion
         value += np.where(run > k, figures.take(at - 1 - k), 0) * _TENS[k]
     fields_at = (newline | colon).nonzero()[0]  # the mark that ends each field
     last = newline[fields_at].nonzero()[0]  # each string's last field

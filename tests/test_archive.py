@@ -693,9 +693,9 @@ def edge_csv_texts(draw):
     and unreadable rows between them, and a row repeated so that it spans
     several blocks.  The rows before a drawn one have only lines that split
     on their commas, so the first quoted or misshapen line may sit after
-    several blocks; a later name may hold a NUL, which the csv module
-    refuses before Python 3.11, and the lines end in LF, CRLF or a lone CR,
-    the last one or not."""
+    several blocks; a later name may hold a NUL, and the lines end in LF,
+    CRLF or a lone CR, the last one or not, which a block's split reads as
+    the csv module does."""
     lines = [",".join(CSV_COLUMNS)]
     records = draw(st.permutations(TABLE1_ROWS)) * draw(st.integers(1, 3))
     plain = draw(st.integers(0, len(records)))
@@ -809,8 +809,8 @@ class TestReadPaths:
             assert fed[:before] == ["\n"] * before and "\n" not in fed[before:]
         return [split is None for split in splits], [len(fed) - fed.count("\n") for fed in feeds]
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"])
-    @pytest.mark.parametrize("last_end", ["\n", "\r\n", ""])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("last_end", ["\n", "\r\n", "\r", ""])
     def test_quote_free_rows_never_reach_the_csv_module(self, tmp_path, end, last_end):
         assert self.load(tmp_path, self.ROWS, end, last_end) == ([False] * 4, [1])
 
@@ -821,10 +821,10 @@ class TestReadPaths:
         # the header's line, then lines 8 to 11 of the file
         assert self.load(tmp_path, rows) == ([False, False, True], [1, 4])
 
-    def test_csv_module_reads_from_the_block_with_a_nul(self, tmp_path):
+    def test_block_with_a_nul_is_split(self, tmp_path):
         rows = list(self.ROWS)
         rows[4] = "Nul\x00" + rows[4]  # in the second block
-        assert self.load(tmp_path, rows) == ([False, True], [1, 7])
+        assert self.load(tmp_path, rows) == ([False] * 4, [1])
 
     def test_csv_module_reads_ragged_rows_whose_commas_add_up(self, tmp_path):
         rows = list(self.ROWS)
@@ -832,11 +832,11 @@ class TestReadPaths:
         rows[4] = rows[4].replace(",PRO-M", ",PRO-M,")
         assert self.load(tmp_path, rows) == ([False, True], [1, 7])
 
-    def test_csv_module_reads_a_last_line_ending_in_a_lone_cr(self, tmp_path):
-        assert self.load(tmp_path, self.ROWS, last_end="\r") == ([False] * 3 + [True], [1, 1])
+    def test_last_line_ending_in_a_lone_cr_is_split(self, tmp_path):
+        assert self.load(tmp_path, self.ROWS, last_end="\r") == ([False] * 4, [1])
 
-    def test_csv_module_reads_every_block_of_lines_ending_in_a_lone_cr(self, tmp_path):
-        assert self.load(tmp_path, self.ROWS, "\r", "\r") == ([True], [1, 10])
+    def test_every_block_of_lines_ending_in_a_lone_cr_is_split(self, tmp_path):
+        assert self.load(tmp_path, self.ROWS, "\r", "\r") == ([False] * 4, [1])
 
 
 # Times a row's values can take: ordinary ones, zero, a tiny one, one that

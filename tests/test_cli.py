@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tables import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
@@ -726,3 +728,54 @@ class TestSynthCommand:
             main(["synth", "--synth-spec", value, "--out", "x.csv"])
         assert exc.value.code == 2
         assert "neither JSON nor a readable file" in capsys.readouterr().err
+
+
+DEFAULT_RNG = np.random.default_rng
+
+
+class DrawsThatDoNotFit:
+    """A numpy generator whose draws of more than a million values raise
+    MemoryError, as numpy's do for an array that cannot be allocated, without
+    allocating it: under overcommit a huge request may be granted and then
+    touched."""
+
+    def __init__(self, seed):
+        self.rng = DEFAULT_RNG(seed)
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def checked(size=None, *args, **kwargs):
+            count = math.prod(size) if isinstance(size, tuple) else size
+            if count is not None and count > 10**6:
+                raise MemoryError(f"Unable to allocate an array of {count} values")
+            return draw(size, *args, **kwargs)
+
+        return checked
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["synth", "--synth-spec", json.dumps(dict(HIGH_SPEC, size=10**13)), "--out", "x.csv"],
+         10**13),
+        (["predict", "--synth-spec", high_spec_json(), "--np", str(10**13),
+          "--max-fes", str(10**13)], 5 * 10**13),
+    ],
+    ids=["synthesis-size", "swarm-size"],
+)
+def test_input_too_large_to_allocate_exits_2(capsys, monkeypatch, argv, count):
+    monkeypatch.setattr(np.random, "default_rng", DrawsThatDoNotFit)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory: Unable to allocate an array of {count} values\n"
+
+
+def test_memory_error_with_no_message_still_says_why(capsys, monkeypatch):
+    def no_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr("tripace.cli.synthesize_from_spec", no_memory)
+    assert main(["synth", "--synth-spec", high_spec_json(), "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == "error: out of memory: an allocation failed\n"

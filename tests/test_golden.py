@@ -10,10 +10,11 @@ its ``load_correlate`` call (``correlate`` on a 10 000-row result file with
 ``perfbench/golden.json``; the 200 skipped-row lines that ``load_correlate``
 prints on stderr are compared byte for byte with
 ``tests/golden/load_correlate_seed10.stderr``.  Both also hold for the
-same file with CRLF line ends and for it with one name quoted in its
-last block.  The ``synth`` files of the reference spec and of the
-benchmark's whole-field spec are pinned by their SHA-256.  A change that
-moves a single byte of these outputs changes behaviour.
+same file with CRLF or lone-CR line ends, for it with a NUL in its first
+name and for it with one name quoted in its last block.  The ``synth``
+files of the reference spec and of the benchmark's whole-field spec are
+pinned by their SHA-256.  A change that moves a single byte of these
+outputs changes behaviour.
 
 To regenerate the report files after an intended behaviour change::
 
@@ -155,6 +156,17 @@ def crlf_lines(text: str) -> str:
     return text.replace("\n", "\r\n")
 
 
+def lone_cr_lines(text: str) -> str:
+    return text.replace("\n", "\r")
+
+
+def nul_in_first_name(text: str) -> str:
+    """``text`` with a NUL in the name of its first row, in the file's first
+    block, which the csv module reads as one more character of the name."""
+    header, first, rest = text.split("\n", 2)
+    return f"{header}\nNUL\0{first}\n{rest}"
+
+
 def quoted_last_name(text: str) -> str:
     """``text`` with the name of its last row quoted, a DNF row in the
     file's last block, which the csv module reads to the same fields."""
@@ -163,7 +175,9 @@ def quoted_last_name(text: str) -> str:
     return f'{head}\n"{name}",{rest}\n'
 
 
-@pytest.mark.parametrize("rewrite", [crlf_lines, quoted_last_name])
+@pytest.mark.parametrize(
+    "rewrite", [crlf_lines, lone_cr_lines, nul_in_first_name, quoted_last_name]
+)
 def test_correlate_output_is_the_same_for_other_line_ends_and_quotes(
     rewrite, bench_inputs, tmp_path
 ):
