@@ -299,10 +299,12 @@ def _csv_blocks(path: Path) -> Iterator[_Block]:
     that does, the csv module reads the rest of the file, that block
     included, as it reads quoted fields, fields that span lines and blank or
     ragged rows; a quoted field may run past any block's end, so the split
-    does not take over again.  A row the csv module cannot read, such as one
-    with a field over ``csv.field_size_limit()``, ends its block as an
-    :class:`ArchiveError`; the next block resumes at the next line.  An
-    unreadable header raises it.
+    does not take over again.  Its reader counts only the lines it reads, so
+    each of its rows is numbered by that count plus the lines read before
+    that block, the header's and the split blocks'.  A row the csv module
+    cannot read, such as one with a field over ``csv.field_size_limit()``,
+    ends its block as an :class:`ArchiveError`; the next block resumes at
+    the next line.  An unreadable header raises it.
     """
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -326,20 +328,17 @@ def _csv_blocks(path: Path) -> Iterator[_Block]:
             numbers = range(start + 1, start + 1 + len(lines))
             yield _Block(header, numbers, columns, None, drops_blank=True)
             start += len(lines)
-        # The reader counts the lines it reads, so blank lines stand in for
-        # the ones read before this block, and their empty rows are passed over.
-        reader = csv.reader(chain(repeat("\n", start), lines, fh))
-        next(islice(reader, start, start), None)
+        reader = csv.reader(chain(lines, fh))
         while True:
             numbers: list[int] = []
             rows: list[list[str] | ArchiveError] = []
             try:
                 for fields in islice(reader, _BLOCK_ROWS):
                     rows.append(fields)
-                    numbers.append(reader.line_num)
+                    numbers.append(start + reader.line_num)
             except csv.Error as exc:
                 rows.append(ArchiveError(str(exc)))
-                numbers.append(reader.line_num)
+                numbers.append(start + reader.line_num)
             if not rows:
                 return
             yield _Block(header, numbers, None, rows, drops_blank=True)

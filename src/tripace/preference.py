@@ -66,8 +66,8 @@ class ModelConfig:
     """Feasible box and target ceiling.
 
     The target ceiling must be reachable inside the box (between the sums of
-    the lower and upper bounds), otherwise no plan can ever be feasible and
-    construction fails outright.
+    the lower and upper bounds, and at most half the largest float),
+    otherwise no plan can ever be feasible and construction fails outright.
     """
 
     bounds: dict[str, tuple[float, float]] = field(
@@ -86,7 +86,13 @@ class ModelConfig:
         floor_sum = sum(self.bounds[n][0] for n in DISCIPLINES)
         # ceilings above half the largest float count as out of reach, which
         # keeps the infeasibility penalty (twice the ceiling) finite
-        roof_sum = min(sum(self.bounds[n][1] for n in DISCIPLINES), sys.float_info.max / 2)
+        cap = sys.float_info.max / 2
+        if floor_sum > cap:
+            raise ValueError(
+                f"lower bounds sum to {floor_sum}, above the largest reachable "
+                f"ceiling {cap}: the feasible set is empty"
+            )
+        roof_sum = min(sum(self.bounds[n][1] for n in DISCIPLINES), cap)
         if not (isinstance(ceiling, Real) and floor_sum <= ceiling <= roof_sum):
             raise ValueError(
                 f"target ceiling {ceiling} outside the reachable range "

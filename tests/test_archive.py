@@ -280,6 +280,12 @@ class TestLoadCsv:
         with pytest.raises(ArchiveError, match="cannot read"):
             load_archive(tmp_path / "nope.csv")
 
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "table1.csv"
+        path.write_text(table1_csv_text())
+        with pytest.raises(ValueError, match=r"^unknown archive format 'xml'$"):
+            load_archive(path, "xml")
+
     def test_short_row_skipped(self, tmp_path):
         path = tmp_path / "short_row.csv"
         path.write_text(table1_csv_text() + "Cut Off,SLO,PRO-M,6,24.00,2.00,100.00\n")
@@ -801,13 +807,15 @@ class TestReadPaths:
         records, expected = reference_load_archive(path)
         assert_same_rows(loaded, rows_from_records(records))
         assert skipped == expected and skipped[-1].startswith("paths.csv row 11: column 'overall'")
-        # A reader that takes over is first fed a blank line for each line
-        # read before it, the header's and the split blocks', and these files
-        # have no blank line of their own.
+        # A reader that takes over is first fed the first line of the block
+        # that was not split, after the header's and the split blocks' lines,
+        # and no blank line, since these files have none.
+        with path.open(newline="") as fh:
+            lines = fh.readlines()
         before = 1 + 3 * sum(split is not None for split in splits)
         for fed in feeds[1:]:
-            assert fed[:before] == ["\n"] * before and "\n" not in fed[before:]
-        return [split is None for split in splits], [len(fed) - fed.count("\n") for fed in feeds]
+            assert fed[0] == lines[before] and "\n" not in fed
+        return [split is None for split in splits], [len(fed) for fed in feeds]
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("last_end", ["\n", "\r\n", "\r", ""])

@@ -47,6 +47,14 @@ def high_spec_json() -> str:
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
+# ModelConfig's error for lower bounds that sum above the largest ceiling
+# whose infeasibility penalty (twice the ceiling) is finite
+FLOOR_ABOVE_THE_CAP = (
+    "lower bounds sum to {}, above the largest reachable ceiling "
+    f"{sys.float_info.max / 2}: the feasible set is empty"
+)
+
+
 def json_arg(tmp_path: Path, form: str) -> str:
     """``DEEP_JSON`` as an option value: inline, or the path of a file holding it."""
     if form == "inline":
@@ -279,6 +287,13 @@ class TestCorrelateCommand:
             + "M\u00fcller,GER,PRO-M,1006,24.00,2.00,100.00,2.00,80.00,208.00\n".encode("latin-1")
         )
         code = main(["correlate", "--archive", str(path), "--group", "PRO-M"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_json_archive_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes('[{"name": "M\u00fcller"}]'.encode("latin-1"))
+        code = main(["correlate", "--archive", str(path), "--group", "M"])
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
@@ -604,6 +619,33 @@ class TestPredictCommand:
         assert exc.value.code == 2
         assert_one_error_line(capsys.readouterr().err, "is not valid JSON: nested too deeply")
 
+    def test_bounds_not_a_json_object_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.predict_args(["--bounds", "[1, 2]"]))
+        assert exc.value.code == 2
+        assert_one_error_line(
+            capsys.readouterr().err, "argument --bounds: bounds must be a JSON object"
+        )
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ('{"swimm": [1, 2]}', "unknown discipline(s) in bounds: ['swimm']"),
+            ('{"swim": [1e308, 1.7e308]}', FLOOR_ABOVE_THE_CAP.format("1e+308")),
+            (
+                '{"swim": [1.7e308, 1.79e308], "bike": [1.7e308, 1.79e308]}',
+                FLOOR_ABOVE_THE_CAP.format("inf"),
+            ),
+        ],
+        ids=["unknown-discipline", "floor-above-the-cap", "floor-overflows"],
+    )
+    def test_unusable_bounds_exit_2(self, capsys, bounds, message):
+        code = main(self.predict_args(["--bounds", bounds]))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_all_runs_infeasible_exits_3(self, capsys):
         code = main([
             "predict", "--synth-spec", json.dumps(COLLINEAR_SPEC),
@@ -704,6 +746,20 @@ class TestSynthCommand:
         assert capsys.readouterr().err == (
             f"error: synthesis spec key {key!r} must be at least {least}, got {value!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"colour": 1}, "unknown synthesis spec key(s): ['colour']"),
+            ({"spreads": [0.0, *SYNTH_SPREADS[1:]]}, "split spreads must be positive"),
+        ],
+        ids=["unknown-key", "zero-spread"],
+    )
+    def test_refused_spec_exits_2(self, tmp_path, capsys, entries, message):
+        spec = json.dumps(dict(HIGH_SPEC, **entries))
+        code = main(["synth", "--synth-spec", spec, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_integral_float_entries_accepted(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
