@@ -115,7 +115,7 @@ class Archive:
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        places = _read_only(self.places, np.int64)
+        places = _int64_places(self.places)
         times = _read_only(self.times, np.float64)
         object.__setattr__(self, "places", places)
         object.__setattr__(self, "names", tuple(self.names))
@@ -174,6 +174,15 @@ def _read_only(values: object, dtype: type) -> np.ndarray:
     array = np.ascontiguousarray(values, dtype=dtype)
     array.flags.writeable = False
     return array
+
+
+def _int64_places(places: object) -> np.ndarray:
+    """``places`` as a read-only int64 array, or an ArchiveError naming one it cannot hold."""
+    try:
+        return _read_only(places, np.int64)
+    except OverflowError:  # numpy's word for a number beyond int64
+        place = next(p for p in places if not -(2**63) <= p < 2**63)
+        raise ArchiveError(f"finish place {place} does not fit int64") from None
 
 
 def _row_faults(places: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, str]]:
@@ -344,21 +353,24 @@ def _csv_blocks(path: Path) -> Iterator[_Block]:
             yield _Block(header, numbers, None, rows, drops_blank=True)
 
 
+def read_json(text: str, source: object) -> object:
+    """The value of the JSON ``text``, or an :class:`ArchiveError` naming ``source`` and why
+    not: a syntax error (from its JSONDecodeError), too deep, or too long an integer."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ArchiveError(f"{source}: invalid JSON: nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ArchiveError(f"{source}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses a literal of that many digits
+        limit = sys.get_int_max_str_digits()
+        raise ArchiveError(f"{source}: an integer of more than {limit} digits") from exc
+
+
 def _json_blocks(path: Path) -> Iterator[_Block]:
     """The result objects of a JSON array in blocks, each with its 1-based
     entry number, their values as strings in the order of :data:`CSV_COLUMNS`."""
-    with path.open(encoding="utf-8-sig") as fh:
-        try:
-            payload = json.load(fh)
-        except RecursionError:
-            raise ArchiveError(f"{path}: invalid JSON: nested too deeply") from None
-        except json.JSONDecodeError as exc:
-            raise ArchiveError(f"{path}: invalid JSON: {exc}") from exc
-        except UnicodeDecodeError:
-            raise  # load_archive words it, for CSV files too
-        except ValueError as exc:  # int() refuses a literal of that many digits
-            limit = sys.get_int_max_str_digits()
-            raise ArchiveError(f"{path}: an integer of more than {limit} digits") from exc
+    payload = read_json(path.read_text(encoding="utf-8-sig"), path)
     if not isinstance(payload, list):
         raise ArchiveError(f"{path}: expected a JSON array of result objects")
     for start in range(0, len(payload), _BLOCK_ROWS):
@@ -466,10 +478,9 @@ def load_archive(path: str | Path, format: str = "auto") -> tuple[ResultRows, li
     A CSV row with no field but whitespace fails a check, and is dropped
     there without a message.
     Raises :class:`ArchiveError` for structural problems: unreadable file or
-    header, a file that is not UTF-8 text, JSON nested too deeply to parse
-    or with an integer longer than ``int()`` reads, unknown or missing
-    columns, or zero parseable rows; its message then counts the skipped
-    rows and quotes the first one's.
+    header, a file that is not UTF-8 text, JSON that :func:`read_json`
+    refuses, unknown or missing columns, or zero parseable rows; its message
+    then counts the skipped rows and quotes the first one's.
     """
     p = Path(path)
     if format == "auto":
@@ -548,10 +559,12 @@ def extend_archive(base: Archive, prediction: SplitVector) -> Archive:
     columns matter downstream.  ``base`` is never mutated.
     """
     appended = np.array([*prediction, prediction.total()])
+    # the next place as a Python int, which cannot wrap as an int64 sum does
+    place = _int64_places([int(base.places[-1]) + 1])
     return Archive(
         base.label,
         base.group,
-        np.append(base.places, base.places[-1] + 1),
+        np.concatenate((base.places, place)),
         base.names + ("PREDICTION",),
         base.nations + ("-",),
         np.concatenate((base.times, appended[:, None]), axis=1),

@@ -10,6 +10,9 @@ Three subcommands:
 
 Exit codes: 0 success, 2 unusable input (file, schema, configuration, or
 a size too large to allocate), 3 experiment ran but every run was infeasible.
+
+The handlers, not argparse, read ``--synth-spec`` and ``--bounds``, so malformed
+JSON there ends in one ``error:`` line from :func:`main`, worded as for a JSON archive.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .archive import DISCIPLINES, ArchiveError, SynthesisError, write_archive_csv
+from .archive import DISCIPLINES, ArchiveError, SynthesisError, read_json, write_archive_csv
 from .experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -40,37 +43,25 @@ EXIT_INFEASIBLE = 3
 PERSONAL_BEST_IMPROVEMENT = 0.05
 
 
-def _parse_json_arg(value: str, what: str) -> dict:
-    """Accept inline JSON, or a path to a JSON file."""
+def _json_object(value: str, what: str) -> dict:
+    """``value`` as inline JSON text, or else as the path of a JSON file; it must hold an object."""
     try:
-        parsed = json.loads(value)
-    except RecursionError:
-        raise argparse.ArgumentTypeError(f"{what} is not valid JSON: nested too deeply") from None
-    except json.JSONDecodeError:
-        # not JSON: a path, which may also be too long, a directory or unreadable
+        parsed = read_json(value, what)
+    except ArchiveError as exc:
+        if not isinstance(exc.__cause__, json.JSONDecodeError):
+            raise  # JSON text, but too deep or with too long an integer
+        # not JSON text: a path, which may also be too long, a directory or unreadable
+        source = f"{what} file {value!r}"
         try:
             text = Path(value).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as fault:
+            raise ArchiveError(f"{source}: not UTF-8 text ({fault.reason})") from None
         except (OSError, ValueError):
-            raise argparse.ArgumentTypeError(f"{what} is neither JSON nor a readable file: {value!r}")
-        try:
-            parsed = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise argparse.ArgumentTypeError(f"{what} file {value!r} is not valid JSON: {exc}")
-        except RecursionError:
-            raise argparse.ArgumentTypeError(
-                f"{what} file {value!r} is not valid JSON: nested too deeply"
-            ) from None
+            raise ArchiveError(f"{what} is neither JSON nor a readable file: {value!r}") from None
+        parsed = read_json(text, source)
     if not isinstance(parsed, dict):
-        raise argparse.ArgumentTypeError(f"{what} must be a JSON object")
+        raise ArchiveError(f"{what} must be a JSON object")
     return parsed
-
-
-def _synth_spec(value: str) -> dict:
-    return _parse_json_arg(value, "synthesis spec")
-
-
-def _bounds_arg(value: str) -> dict:
-    return _parse_json_arg(value, "bounds")
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
@@ -78,7 +69,6 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--archive", metavar="PATH", help="result file (CSV or JSON)")
     source.add_argument(
         "--synth-spec",
-        type=_synth_spec,
         metavar="JSON",
         help="synthetic archive description, inline JSON or a path to a JSON file",
     )
@@ -124,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=float, default=2.0, help="social learning factor")
     p.add_argument(
         "--bounds",
-        type=_bounds_arg,
-        default=None,
         metavar="JSON",
         help='per-discipline bounds overrides, e.g. \'{"swim": [20, 40]}\'',
     )
@@ -137,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="write a synthetic archive as CSV")
     s.add_argument(
-        "--synth-spec", type=_synth_spec, required=True, metavar="JSON",
+        "--synth-spec", required=True, metavar="JSON",
         help="synthetic archive description, inline JSON or a path to a JSON file",
     )
     s.add_argument("--out", metavar="PATH", required=True, help="CSV file to write")
@@ -148,23 +136,32 @@ def build_parser() -> argparse.ArgumentParser:
 def _model_from_args(args: argparse.Namespace) -> ModelConfig:
     bounds = dict(DEFAULT_BOUNDS)
     if args.bounds is not None:
-        unknown = set(args.bounds) - set(DISCIPLINES)
+        overrides = _json_object(args.bounds, "bounds")
+        unknown = set(overrides) - set(DISCIPLINES)
         if unknown:
             raise ValueError(f"unknown discipline(s) in bounds: {sorted(unknown)}")
-        bounds.update(args.bounds)  # ModelConfig refuses malformed pairs
+        bounds.update(overrides)  # ModelConfig refuses malformed pairs
     ceiling = args.kmax
     if args.personal_best is not None:
         ceiling = (1.0 - PERSONAL_BEST_IMPROVEMENT) * args.personal_best
     return ModelConfig(bounds=bounds, target_ceiling=ceiling)
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
+def _experiment_config(args: argparse.Namespace, **settings) -> ExperimentConfig:
+    spec = None if args.synth_spec is None else _json_object(args.synth_spec, "synthesis spec")
+    return ExperimentConfig(
         archive_path=args.archive,
         archive_format=args.format,
-        synth_spec=args.synth_spec,
+        synth_spec=spec,
         group=args.group,
         top_n=args.top_n,
+        **settings,
+    )
+
+
+def _cmd_predict(args: argparse.Namespace) -> int:
+    cfg = _experiment_config(
+        args,
         runs=args.runs,
         base_seed=args.seed,
         swarm_size=args.swarm_size,
@@ -187,14 +184,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        archive_path=args.archive,
-        archive_format=args.format,
-        synth_spec=args.synth_spec,
-        group=args.group,
-        top_n=args.top_n,
-    )
-    archive = resolve_archive(cfg)
+    archive = resolve_archive(_experiment_config(args))
     pair = archive_correlation(archive)
     print(f"archive {archive.label} group {archive.group} (n={len(archive)})")
     print(f"swim-bike r: {pair.r_swim_bike:.6f}")
@@ -204,7 +194,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    archive = synthesize_from_spec(args.synth_spec)
+    archive = synthesize_from_spec(_json_object(args.synth_spec, "synthesis spec"))
     write_archive_csv(archive, args.out)
     pair = archive_correlation(archive)
     print(

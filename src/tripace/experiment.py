@@ -124,8 +124,8 @@ class ExperimentReport:
     archive_size: int
     archive_correlation_sum: float
     per_run: tuple[RunOutcome, ...]
-    mean_row: tuple[float, ...] | None
-    stdev_row: tuple[float, ...] | None
+    mean_row: tuple[float, ...]
+    stdev_row: tuple[float, ...]
 
 
 def synthesize_from_spec(spec: dict) -> Archive:
@@ -250,9 +250,8 @@ def _emit_text(report: ExperimentReport) -> str:
             lines.append(" | ".join([str(outcome.index)] + cells))
         else:
             lines.append(f"{outcome.index} | infeasible")
-    if report.mean_row is not None:
-        lines.append(" | ".join(["Mean"] + [format_split(v) for v in report.mean_row]))
-        lines.append(" | ".join(["Stdev"] + [format_split(v) for v in report.stdev_row]))
+    lines.append(" | ".join(["Mean"] + [format_split(v) for v in report.mean_row]))
+    lines.append(" | ".join(["Stdev"] + [format_split(v) for v in report.stdev_row]))
     for outcome in report.per_run:
         if outcome.feasible:
             lines.append(
@@ -287,13 +286,12 @@ def _emit_csv(report: ExperimentReport) -> str:
         else:
             writer.writerow([outcome.index] + [""] * 12 + [r_before, "", "infeasible"])
     for label, row in (("mean", report.mean_row), ("stdev", report.stdev_row)):
-        if row is not None:
-            writer.writerow(
-                [label]
-                + [repr(v) for v in row]
-                + [format_split(v) for v in row]
-                + ["", "", ""]
-            )
+        writer.writerow(
+            [label]
+            + [repr(v) for v in row]
+            + [format_split(v) for v in row]
+            + ["", "", ""]
+        )
     return buf.getvalue()
 
 
@@ -308,9 +306,7 @@ def _emit_json(report: ExperimentReport) -> str:
             payload["error"] = outcome.error
         return payload
 
-    def row_payload(row: tuple[float, ...] | None) -> dict | None:
-        if row is None:
-            return None
+    def row_payload(row: tuple[float, ...]) -> dict:
         return {
             "splits_min": dict(zip(DISCIPLINES, row[:5])),
             "splits": {n: format_split(v) for n, v in zip(DISCIPLINES, row[:5])},

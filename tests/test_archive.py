@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -125,6 +126,11 @@ class TestArchiveInvariants:
         assert tied.places.tolist() == [2, 2, 3]
         with pytest.raises(ArchiveError, match="^finish places must not decrease$"):
             column_archive(times, places=[2, 3, 2])
+
+    def test_place_beyond_int64_named(self):
+        times = row_times(*[(30.0 + i, 3.0, 160.0, 3.0, 95.0) for i in range(3)])
+        with pytest.raises(ArchiveError, match=f"^finish place {2**63} does not fit int64$"):
+            column_archive(times, places=[1, 2, 2**63])
 
     # the row rules, as a result file's rows keep them too
     def test_place_positive(self):
@@ -496,6 +502,14 @@ class TestExtendArchive:
         splits = (30.0, 3.0, 160.0, 3.0, 95.0)
         base = column_archive(row_times(splits, splits, splits), places=[1, 2, MAX_PLACE])
         assert extend_archive(base, self.prediction).places[-1] == MAX_PLACE + 1
+
+    def test_next_place_beyond_int64_named(self):
+        splits = (30.0, 3.0, 160.0, 3.0, 95.0)
+        base = column_archive(row_times(splits, splits, splits), places=[1, 2, 2**63 - 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            with pytest.raises(ArchiveError, match=f"^finish place {2**63} does not fit int64$"):
+                extend_archive(base, self.prediction)
 
 
 class TestSynthesize:

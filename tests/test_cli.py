@@ -55,13 +55,44 @@ FLOOR_ABOVE_THE_CAP = (
 )
 
 
-def json_arg(tmp_path: Path, form: str) -> str:
-    """``DEEP_JSON`` as an option value: inline, or the path of a file holding it."""
-    if form == "inline":
-        return DEEP_JSON
-    path = tmp_path / "deep.json"
-    path.write_text(DEEP_JSON)
-    return str(path)
+LIMIT = sys.get_int_max_str_digits()
+
+# Malformed JSON option values: where each is given (inline, or in a file
+# whose path is the value), its text (bytes for a file that is not UTF-8),
+# and the one error line it gives, as a template.  Inline text that is not
+# JSON is taken for a path.
+JSON_FORMS = {
+    "inline": ("inline", DEEP_JSON, "{source}: invalid JSON: nested too deeply"),
+    "file": ("file", DEEP_JSON, "{source}: invalid JSON: nested too deeply"),
+    "inline-syntax": ("inline", "[1, 2", "{what} is neither JSON nor a readable file: {value!r}"),
+    "file-syntax": (
+        "file", "[1, 2", "{source}: invalid JSON: Expecting ',' delimiter: line 1 column 6 (char 5)"
+    ),
+    "inline-long-integer": (
+        "inline", "[1" + "0" * LIMIT + "]", f"{{source}}: an integer of more than {LIMIT} digits"
+    ),
+    "file-long-integer": (
+        "file", "[1" + "0" * LIMIT + "]", f"{{source}}: an integer of more than {LIMIT} digits"
+    ),
+    "inline-not-an-object": ("inline", "[1, 2]", "{what} must be a JSON object"),
+    "file-not-an-object": ("file", "[1, 2]", "{what} must be a JSON object"),
+    "file-not-utf8": (
+        "file", '["M\u00fcller"]'.encode("latin-1"), "{source}: not UTF-8 text (invalid start byte)"
+    ),
+}
+
+
+def json_arg(tmp_path: Path, form: str, what: str) -> tuple[str, str]:
+    """The option value of a ``JSON_FORMS`` entry, and its error line after
+    ``error: `` for the option whose messages name ``what``."""
+    where, text, line = JSON_FORMS[form]
+    value, source = text, what
+    if where == "file":
+        path = tmp_path / "bad.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        value = str(path)
+        source = f"{what} file {value!r}"
+    return value, line.format(what=what, source=source, value=value)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -80,9 +111,9 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 
 def assert_one_error_line(err: str, ending: str) -> None:
-    """argparse's usage, then exactly one ``error:`` line, ending with ``ending``."""
-    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
-    assert err.splitlines()[-1].endswith(ending)
+    """``err`` is exactly one line, which starts ``error: `` and ends with ``ending``."""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert err.endswith(ending + "\n")
 
 
 class TestRunExperiment:
@@ -158,7 +189,10 @@ class TestRunExperiment:
 
 
 class TestEmitReport:
-    def make_report(self, outcomes, mean_row=None, stdev_row=None):
+    # every report has a Mean and a Stdev row: with no feasible run, there is no report
+    mean_row = (33.0, 3.0, 165.0, 3.5, 93.0, 297.5)
+
+    def make_report(self, outcomes, mean_row=mean_row, stdev_row=(0.0,) * 6):
         return ExperimentReport(
             archive_label="demo",
             archive_group="M25-29",
@@ -176,16 +210,6 @@ class TestEmitReport:
         assert "33:51.15 | 2:48.87 | 2:47:33.79 | 3:48.42 | 1:31:57.68" in text
         assert "Mean | " in text and "Stdev | " in text
 
-    def test_empty_runs_header_only(self):
-        report = self.make_report([])
-        text = emit_report(report, "text")
-        assert "Run | Swimming | T1 | Cycling | T2 | Running | Total" in text
-        assert len(text.splitlines()) == 2
-        rows = list(csv.reader(io.StringIO(emit_report(report, "csv"))))
-        assert len(rows) == 1
-        doc = json.loads(emit_report(report, "json"))
-        assert doc["runs"] == [] and doc["mean"] is None
-
     def test_infeasible_row_rendered(self):
         outcome = RunOutcome(index=1, seed=2, prediction=None, error="no feasible plan")
         text = emit_report(self.make_report([outcome]), "text")
@@ -199,14 +223,21 @@ class TestEmitReport:
             "row,swim_min,t1_min,bike_min,t2_min,run_min,total_min,"
             "swim,t1,bike,t2,run,total,r_before,r_after,status\n"
             "1,,,,,,,,,,,,,0.701,,infeasible\n"
+            "mean,33.0,3.0,165.0,3.5,93.0,297.5,"
+            "33:00.00,3:00.00,2:45:00.00,3:30.00,1:33:00.00,4:57:30.00,,,\n"
+            "stdev,0.0,0.0,0.0,0.0,0.0,0.0,"
+            "0:00.00,0:00.00,0:00.00,0:00.00,0:00.00,0:00.00,,,\n"
         )
-        assert emit_report(report, "json") == (
+        document = emit_report(report, "json")
+        assert document.startswith(
             '{\n  "archive": {\n    "label": "demo",\n    "group": "M25-29",\n'
             '    "size": 30,\n    "correlation_sum": 0.701\n  },\n'
             '  "runs": [\n    {\n      "run": 1,\n      "seed": 2,\n'
             '      "error": "no feasible plan"\n    }\n  ],\n'
-            '  "mean": null,\n  "stdev": null\n}\n'
+            '  "mean": {\n'
         )
+        parsed = json.loads(document)
+        assert parsed["mean"]["total_min"] == 297.5 and parsed["stdev"]["total"] == "0:00.00"
 
     def test_json_round_trip(self):
         splits = SplitVector(33.0, 3.0, 165.0, 3.5, 93.0)
@@ -611,21 +642,20 @@ class TestPredictCommand:
         assert captured.err.startswith("error: bounds for 'swim' must be a [low, high] pair")
         assert len(captured.err.splitlines()) == 1
 
-    @pytest.mark.parametrize("form", ["file", "inline"])
+    @pytest.mark.parametrize("form", JSON_FORMS)
     def test_deeply_nested_bounds_exit_2(self, tmp_path, capsys, form):
-        value = json_arg(tmp_path, form)
-        with pytest.raises(SystemExit) as exc:
-            main(self.predict_args(["--bounds", value]))
-        assert exc.value.code == 2
-        assert_one_error_line(capsys.readouterr().err, "is not valid JSON: nested too deeply")
+        """Deeply nested and every other malformed JSON: one error line from main."""
+        value, ending = json_arg(tmp_path, form, "bounds")
+        assert main(self.predict_args(["--bounds", value])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err, ending)
 
     def test_bounds_not_a_json_object_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(self.predict_args(["--bounds", "[1, 2]"]))
-        assert exc.value.code == 2
-        assert_one_error_line(
-            capsys.readouterr().err, "argument --bounds: bounds must be a JSON object"
-        )
+        assert main(self.predict_args(["--bounds", "[1, 2]"])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bounds must be a JSON object\n"
 
     @pytest.mark.parametrize(
         "bounds, message",
@@ -694,9 +724,13 @@ class TestSynthCommand:
         assert main(["correlate", "--synth-spec", str(spec_path)]) == 0
         assert capsys.readouterr().out == inline
 
-    def test_bad_spec_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["synth", "--synth-spec", "{not json", "--out", "x.csv"])
+    def test_bad_spec_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--synth-spec", "{not json", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: synthesis spec is neither JSON nor a readable file: '{not json'\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -768,22 +802,25 @@ class TestSynthCommand:
         assert main(["synth", "--synth-spec", high_spec_json(), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("form", ["file", "inline"])
+    @pytest.mark.parametrize("form", JSON_FORMS)
     def test_deeply_nested_spec_exits_2(self, tmp_path, capsys, form):
-        value = json_arg(tmp_path, form)
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--synth-spec", value, "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-        assert_one_error_line(capsys.readouterr().err, "is not valid JSON: nested too deeply")
+        """Deeply nested and every other malformed JSON: one error line from
+        main, on each command that takes a spec."""
+        value, ending = json_arg(tmp_path, form, "synthesis spec")
+        for command in (["synth", "--out", str(tmp_path / "x.csv")], ["correlate"], ["predict"]):
+            assert main([*command, "--synth-spec", value]) == 2, command
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert_one_error_line(err, ending)
 
     @pytest.mark.parametrize(
         "value", ["x" * 300, ".", "nul\x00byte"], ids=["name-too-long", "directory", "nul-byte"]
     )
-    def test_spec_neither_json_nor_a_readable_file_exits_2(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--synth-spec", value, "--out", "x.csv"])
-        assert exc.value.code == 2
-        assert "neither JSON nor a readable file" in capsys.readouterr().err
+    def test_spec_neither_json_nor_a_readable_file_exits_2(self, tmp_path, capsys, value):
+        assert main(["synth", "--synth-spec", value, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: synthesis spec is neither JSON nor a readable file: {value!r}\n"
+        )
 
 
 DEFAULT_RNG = np.random.default_rng
