@@ -37,6 +37,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, compress, islice, repeat
 from operator import eq
 from pathlib import Path
@@ -69,6 +70,12 @@ MAX_PLACE = 2**62
 # of each pass, few enough that the raw rows of a large file are never all
 # held at once.
 _BLOCK_ROWS = 1024
+
+# Normals that synthesize_archive draws at most per chunk of tries (at least
+# one try), and the band of variances that its screen of the tries trusts.
+_CHUNK_NORMALS = 2**14
+_SAFE_LOW = 2 * sys.float_info.min
+_SAFE_HIGH = sys.float_info.max / 2
 
 
 class ArchiveError(ValueError):
@@ -177,12 +184,22 @@ def _read_only(values: object, dtype: type) -> np.ndarray:
 
 
 def _int64_places(places: object) -> np.ndarray:
-    """``places`` as a read-only int64 array, or an ArchiveError naming one it cannot hold."""
-    try:
-        return _read_only(places, np.int64)
-    except OverflowError:  # numpy's word for a number beyond int64
-        place = next(p for p in places if not -(2**63) <= p < 2**63)
-        raise ArchiveError(f"finish place {place} does not fit int64") from None
+    """``places`` as a read-only int64 array, or an ArchiveError naming the
+    first place that is not an integer or does not fit int64.
+
+    Anything but an int64 array is checked place by place before the cast,
+    which would wrap an unsigned place, truncate a fraction and reject a NaN
+    with numpy's own error.
+    """
+    if not (isinstance(places, np.ndarray) and places.dtype == np.int64):
+        for place in places.ravel().tolist() if isinstance(places, np.ndarray) else places:
+            try:
+                value = integer_setting("place", place)
+            except ValueError:
+                raise ArchiveError(f"finish place {place!r} is not an integer") from None
+            if not -(2**63) <= value < 2**63:
+                raise ArchiveError(f"finish place {place} does not fit int64")
+    return _read_only(places, np.int64)
 
 
 def _row_faults(places: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, str]]:
@@ -610,6 +627,18 @@ def synthesize_archive(
     correlations land within ``tolerance`` of the targets and all splits are
     positive.  Deterministic in ``seed``.
 
+    A try draws ``5 * size`` normals: the latent, swim, run, T1 and T2
+    draws, in that order.  Tries are drawn in chunks, one
+    ``standard_normal((k, 5, size))`` call holding at most about 2**14
+    normals (``k`` at least 1), which is the stream of drawing them one try
+    at a time.  Positivity is checked for the whole chunk at once, and
+    :func:`_surely_missed` screens out the positive tries whose
+    correlations surely miss; the rest go to :func:`pearson` and the
+    tolerance test in try order, as if every try went there.  So the
+    archive, any :class:`CorrelationUndefinedError` and the
+    :class:`SynthesisError` text, whose last achieved pair is that of the
+    last positive try, do not depend on the screen.
+
     An argument of the wrong type (numbers must be finite, integers may be
     integral floats but not bools), a negative seed or tolerance, a
     ``max_tries`` below 1, a size below 5, a target outside [-1, 1] or a
@@ -643,35 +672,89 @@ def synthesize_archive(
         raise ArchiveError("split spreads must be positive")
 
     rng = np.random.default_rng(seed)
+    weights = (np.sqrt(1.0 - r_swim_bike**2), np.sqrt(1.0 - r_bike_run**2))
+    per_chunk = max(1, _CHUNK_NORMALS // (5 * size))
+    bound = tolerance + 8 * size * sys.float_info.epsilon
+    last = None  # the swim, bike and run columns of the last positive try
+    tried = 0
+    while tried < max_tries:
+        chunk = min(per_chunk, max_tries - tried)
+        tried += chunk
+        # one try per row: the latent, swim, run, T1 and T2 draws of a try
+        draws = rng.standard_normal((chunk, 5, size))
+        swim = means[0] + spreads[0] * (r_swim_bike * draws[:, 0] + weights[0] * draws[:, 1])
+        run = means[4] + spreads[4] * (r_bike_run * draws[:, 0] + weights[1] * draws[:, 2])
+        t1 = means[1] + spreads[1] * draws[:, 3]
+        bike = means[2] + spreads[2] * draws[:, 0]
+        t2 = means[3] + spreads[3] * draws[:, 4]
+        del draws  # freed before the screen's temporaries are made
+        lowest = reduce(np.minimum, (swim, t1, bike, t2, run)).min(axis=1)
+        positive = ~(lowest <= 0.0)
+        ruled_out = _surely_missed(swim, bike, run, (r_swim_bike, r_bike_run), bound)
+        for i in np.flatnonzero(positive & ~ruled_out).tolist():
+            achieved = (pearson(swim[i], bike[i]), pearson(bike[i], run[i]))
+            if (
+                abs(achieved[0] - r_swim_bike) <= tolerance
+                and abs(achieved[1] - r_bike_run) <= tolerance
+            ):
+                totals = swim[i] + t1[i] + bike[i] + t2[i] + run[i]
+                order = np.argsort(totals, kind="stable")
+                return Archive(
+                    label,
+                    group,
+                    np.arange(1, size + 1),
+                    tuple(map("SYN-%03d".__mod__, range(1, size + 1))),
+                    ("SYN",) * size,
+                    np.vstack((swim[i], t1[i], bike[i], t2[i], run[i], totals))[:, order],
+                )
+        if positive.any():
+            i = np.flatnonzero(positive)[-1]
+            last = (swim[i], bike[i], run[i])
     achieved = (float("nan"), float("nan"))
-    for _ in range(max_tries):
-        latent = rng.standard_normal(size)
-        z_swim = r_swim_bike * latent + np.sqrt(1.0 - r_swim_bike**2) * rng.standard_normal(size)
-        z_run = r_bike_run * latent + np.sqrt(1.0 - r_bike_run**2) * rng.standard_normal(size)
-        swim = means[0] + spreads[0] * z_swim
-        t1 = means[1] + spreads[1] * rng.standard_normal(size)
-        bike = means[2] + spreads[2] * latent
-        t2 = means[3] + spreads[3] * rng.standard_normal(size)
-        run = means[4] + spreads[4] * z_run
-        if min(swim.min(), t1.min(), bike.min(), t2.min(), run.min()) <= 0.0:
-            continue
-        achieved = (pearson(swim, bike), pearson(bike, run))
-        if (
-            abs(achieved[0] - r_swim_bike) <= tolerance
-            and abs(achieved[1] - r_bike_run) <= tolerance
-        ):
-            totals = swim + t1 + bike + t2 + run
-            order = np.argsort(totals, kind="stable")
-            return Archive(
-                label,
-                group,
-                np.arange(1, size + 1),
-                tuple(map("SYN-%03d".__mod__, range(1, size + 1))),
-                ("SYN",) * size,
-                np.vstack((swim, t1, bike, t2, run, totals))[:, order],
-            )
+    if last is not None:
+        achieved = (pearson(last[0], last[1]), pearson(last[1], last[2]))
     raise SynthesisError(
         f"could not reach correlations ({r_swim_bike}, {r_bike_run}) "
         f"within +/-{tolerance} after {max_tries} tries; "
         f"last achieved ({achieved[0]:.4f}, {achieved[1]:.4f})"
     )
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _surely_missed(
+    swim: np.ndarray, bike: np.ndarray, run: np.ndarray, targets: tuple[float, float], bound: float
+) -> np.ndarray:
+    """Per try (row) of the (k, n) columns, whether :func:`pearson` surely
+    gives both pairs and one of them misses its target by more than ``bound``.
+
+    A row whose first two values differ is not constant, so :func:`pearson`
+    centres it on numpy's mean of the row, the same pairwise sum as the
+    mean along ``axis=1`` takes of that row; the screen centres it the same
+    way, so the centred values are pearson's own and only the order in
+    which the dot products sum them differs.  A try with a column whose
+    first two values are equal is never screened out.
+
+    Either order puts a sum of n products within ``n*eps*sum|x_i*y_i|`` of
+    its exact value, and ``sum|x_i*y_i| <= sqrt(Sxx*Syy)`` by
+    Cauchy-Schwarz, so each order puts r within about ``2*n*eps`` of the
+    exact r, and the two orders differ by ``|dr| <= 4*n*eps + O(eps) <=
+    8*n*eps`` for n >= 5: the margin the caller adds to the tolerance.  A
+    try counts only when its variances and their products lie a factor of
+    2 inside the normal, finite floats, far more than the relative
+    ``2*n*eps`` by which the two orders can differ, so pearson does not
+    raise on it.
+    """
+    s, b, r = (column - column.mean(axis=1)[:, None] for column in (swim, bike, run))
+    sbb = np.einsum("ij,ij->i", b, b)
+    sure = (_SAFE_LOW < sbb) & (sbb < _SAFE_HIGH)
+    for column in (swim, bike, run):
+        sure &= column[:, 0] != column[:, 1]
+    missed = np.zeros(len(sbb), dtype=bool)
+    for x, target in zip((s, r), targets):
+        sxx = np.einsum("ij,ij->i", x, x)
+        product = sxx * sbb
+        sure &= (_SAFE_LOW < sxx) & (sxx < _SAFE_HIGH)
+        sure &= (_SAFE_LOW < product) & (product < _SAFE_HIGH)
+        coefficient = np.einsum("ij,ij->i", x, b) / np.sqrt(product)
+        missed |= np.abs(coefficient.clip(-1.0, 1.0) - target) > bound
+    return sure & missed

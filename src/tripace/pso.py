@@ -28,9 +28,10 @@ best, and the speed rests on such changes being rare.  Each row uses the
 scalar association above, so the positions are bit for bit those of a
 particle-by-particle loop.  A particle's personal best changes only at its
 own move.  So personal values are a list of floats, starting at infinity
-and updated as the particles are scored, and the rows of the particles
-that improved are copied into the personal-best array with one indexed
-assignment per generation.
+and updated as the particles are scored, and a particle's row is copied
+into the personal-best array as soon as it improves: a later re-move reads
+only the personal bests of particles not yet scored, which no copy of that
+generation has touched.
 
 Reproducibility contract: a single seeded generator drives one run.
 Initialization draws all NP * D uniforms in one call, particle by particle
@@ -206,14 +207,13 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
             new_positions, new_velocities = move(
                 positions, velocities, bests, best_position, c1, c2, u1, u2, lower, upper
             )
-        rows = list(map(tuple, new_positions.tolist()))
-        improved = []
+        rows = list(zip(*new_positions.T.tolist()))
         for i in range(moves):
             value = float(fitness(rows[i]))
             # Non-finite scores count against the budget but never become a best.
             if value <= personal_values[i] and isfinite(value):
                 personal_values[i] = value
-                improved.append(i)
+                bests[i] = new_positions[i]  # bests is a view of personal_bests
             if value <= best_value and isfinite(value):
                 best_position = rows[i]
                 best_value = value
@@ -224,10 +224,8 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
                         positions[rest], velocities[rest], bests[rest], best_position,
                         c1, c2, u1[rest], u2[rest], lower, upper,
                     )
-                    rows[rest] = map(tuple, new_positions[rest].tolist())
+                    rows[rest] = zip(*new_positions[rest].T.tolist())
         positions, velocities = new_positions, new_velocities
-        if improved:
-            bests[improved] = positions[improved]  # bests is a view of personal_bests
         used += moves
         history.append(best_value)
 

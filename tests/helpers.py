@@ -3,9 +3,10 @@
 These deliberately avoid the package's own numeric paths: plain-Python
 accumulation for the correlation coefficient, a componentwise loop for
 the swarm step, a numpy whole-run swarm engine, the objective composed
-from the extended archive, and a loader that parses one row at a time into
-one record each, with the row rules transcribed on the record, so agreement
-checks actually compare two routes.
+from the extended archive, a loader that parses one row at a time into
+one record each, with the row rules transcribed on the record, and a
+synthesizer that draws and checks one try at a time, so agreement checks
+actually compare two routes.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from tripace.archive import (
     Archive,
     ArchiveError,
     ResultRows,
+    SynthesisError,
     _check_columns,
     extend_archive,
 )
 from tripace.preference import ModelConfig, SplitVector
 from tripace.pso import PsoResult
-from tripace.stats import CorrelationPair, CorrelationUndefinedError, archive_correlation
+from tripace.stats import CorrelationPair, CorrelationUndefinedError, archive_correlation, pearson
 from tripace.timekit import DurationParseError
 
 
@@ -182,6 +184,54 @@ def reference_run(config, fitness) -> PsoResult:
         best_value=best_value,
         evaluations_used=used,
         history=history,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference synthesizer: the per-try loop the package shipped before it drew
+# and screened tries in chunks, frozen here as an oracle for
+# ``synthesize_archive``.  Each try makes its five draws one at a time and
+# goes to ``pearson``, the package's correlation, whose exact values and
+# errors the chunked path must reproduce.  It takes arguments that
+# ``synthesize_archive`` has already checked.
+
+
+def reference_synthesize_archive(
+    seed, size, r_swim_bike, r_bike_run, means, spreads, *,
+    tolerance=0.02, max_tries=500, label="synthetic", group="SYN",
+) -> Archive:
+    rng = np.random.default_rng(seed)
+    achieved = (float("nan"), float("nan"))
+    for _ in range(max_tries):
+        latent = rng.standard_normal(size)
+        z_swim = r_swim_bike * latent + np.sqrt(1.0 - r_swim_bike**2) * rng.standard_normal(size)
+        z_run = r_bike_run * latent + np.sqrt(1.0 - r_bike_run**2) * rng.standard_normal(size)
+        swim = means[0] + spreads[0] * z_swim
+        t1 = means[1] + spreads[1] * rng.standard_normal(size)
+        bike = means[2] + spreads[2] * latent
+        t2 = means[3] + spreads[3] * rng.standard_normal(size)
+        run = means[4] + spreads[4] * z_run
+        if min(swim.min(), t1.min(), bike.min(), t2.min(), run.min()) <= 0.0:
+            continue
+        achieved = (pearson(swim, bike), pearson(bike, run))
+        if (
+            abs(achieved[0] - r_swim_bike) <= tolerance
+            and abs(achieved[1] - r_bike_run) <= tolerance
+        ):
+            totals = swim + t1 + bike + t2 + run
+            order = np.argsort(totals, kind="stable")
+            return Archive(
+                label,
+                group,
+                np.arange(1, size + 1),
+                tuple(f"SYN-{place:03d}" for place in range(1, size + 1)),
+                ("SYN",) * size,
+                np.vstack((swim, t1, bike, t2, run, totals))[:, order],
+            )
+    raise SynthesisError(
+        f"could not reach correlations ({r_swim_bike}, {r_bike_run}) "
+        f"within +/-{tolerance} after {max_tries} tries; "
+        f"last achieved ({achieved[0]:.4f}, {achieved[1]:.4f})"
     )
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -18,6 +19,7 @@ from helpers import (
     assert_same_rows,
     oracle_pearson,
     reference_load_archive,
+    reference_synthesize_archive,
     reference_write_archive_csv,
     rows_from_records,
 )
@@ -131,6 +133,26 @@ class TestArchiveInvariants:
         times = row_times(*[(30.0 + i, 3.0, 160.0, 3.0, 95.0) for i in range(3)])
         with pytest.raises(ArchiveError, match=f"^finish place {2**63} does not fit int64$"):
             column_archive(times, places=[1, 2, 2**63])
+
+    @pytest.mark.parametrize(
+        "places, message",
+        [
+            (np.array([1, 2, 2**63], dtype=np.uint64), f"finish place {2**63} does not fit int64"),
+            (np.array([1.0, 1.5, 2.0]), r"finish place 1\.5 is not an integer"),
+            ([1, 2, float("nan")], "finish place nan is not an integer"),
+        ],
+        ids=["uint64-beyond-int64", "fraction", "nan"],
+    )
+    def test_place_cast_named(self, places, message):
+        times = row_times(*[(30.0 + i, 3.0, 160.0, 3.0, 95.0) for i in range(3)])
+        with pytest.raises(ArchiveError, match=f"^{message}$"):
+            column_archive(times, places=places)
+
+    def test_integral_float_places_kept(self):
+        times = row_times(*[(30.0 + i, 3.0, 160.0, 3.0, 95.0) for i in range(3)])
+        archive = column_archive(times, places=np.array([1.0, 2.0, 2.0]))
+        assert archive.places.dtype == np.int64
+        assert archive.places.tolist() == [1, 2, 2]
 
     # the row rules, as a result file's rows keep them too
     def test_place_positive(self):
@@ -602,6 +624,113 @@ class TestSynthesize:
             synthesize_archive(
                 1, 30, 0.5, 0.0, (1.0, 1.0, 1.0, 1.0, 1.0), (5.0, 5.0, 5.0, 5.0, 5.0), max_tries=10
             )
+
+
+def synthesis_outcome(synthesize, *args, **kwargs):
+    """What a synthesizer gives: the archive's places, names, nations and
+    time bytes, or the type and text of what it raises."""
+    try:
+        archive = synthesize(*args, **kwargs)
+    except Exception as error:
+        return type(error), str(error)
+    return archive.places.tolist(), archive.names, archive.nations, archive.times.tobytes()
+
+
+@st.composite
+def synthesis_specs(draw):
+    """Arguments of synthesize_archive: plain specs, collinear targets, and
+    columns whose variances overflow, underflow or are exactly zero in every
+    try or in some."""
+    kind = draw(
+        st.sampled_from(["plain", "collinear", "overflow", "underflow", "flat", "grainy", "edge"])
+    )
+    size = draw(st.integers(5, 40))
+    targets = st.floats(min_value=-1.0, max_value=1.0)
+    r_swim_bike, r_bike_run = (1.0, 1.0) if kind == "collinear" else (draw(targets), draw(targets))
+    means = draw(st.lists(st.floats(min_value=1.0, max_value=200.0), min_size=5, max_size=5))
+    # a spread up to a third of its mean, so that most tries are positive
+    shares = draw(st.lists(st.floats(min_value=0.01, max_value=0.33), min_size=5, max_size=5))
+    spreads = [m * share for m, share in zip(means, shares)]
+    if kind in ("overflow", "underflow"):  # means and spreads scaled alike
+        exponent = draw(st.integers(150, 170))
+        scale = 10.0 ** (exponent if kind == "overflow" else -exponent)
+        means = [m * scale for m in means]
+        spreads = [s * scale for s in spreads]
+    elif kind == "flat":  # spreads too small to move a value off its mean
+        spreads = [s * 10.0 ** -draw(st.integers(20, 300)) for s in spreads]
+    elif kind == "grainy":  # a column constant in some tries and not in others
+        column = draw(st.sampled_from([0, 2, 4]))
+        grain = draw(st.floats(min_value=0.1, max_value=0.6))
+        spreads[column] = math.ulp(means[column]) * grain
+    elif kind == "edge":  # a variance below the normal floats, or overflowing, in some tries
+        column = draw(st.sampled_from([0, 2, 4]))
+        end = draw(st.sampled_from([sys.float_info.min, sys.float_info.max]))
+        spreads[column] = math.sqrt(end / (size - 1)) * draw(st.floats(min_value=0.5, max_value=2.0))
+        means[column] = spreads[column] / shares[column]
+    tolerance = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)))
+    return dict(
+        seed=draw(st.integers(0, 2**32)), size=size,
+        r_swim_bike=r_swim_bike, r_bike_run=r_bike_run, means=means, spreads=spreads,
+        tolerance=tolerance, max_tries=draw(st.integers(1, 20)),
+    )
+
+
+REFERENCE_SYNTHESIS = dict(
+    seed=1, size=30, r_swim_bike=0.73, r_bike_run=0.0,
+    means=list(SYNTH_MEANS), spreads=list(SYNTH_SPREADS), tolerance=0.02, max_tries=500,
+)
+
+
+@given(spec=synthesis_specs())
+@example(spec=REFERENCE_SYNTHESIS)
+@example(spec=dict(REFERENCE_SYNTHESIS, tolerance=1e-9, max_tries=3))
+# found in the second chunk of 109 tries, and not found in five
+@example(spec=dict(REFERENCE_SYNTHESIS, tolerance=0.002))
+@example(spec=dict(REFERENCE_SYNTHESIS, tolerance=0.001))
+# the last chunk, of 11 tries, has no positive try: the last achieved pair
+# is that of a try in the chunk before
+@example(spec=dict(
+    seed=19, size=20, r_swim_bike=0.5, r_bike_run=0.2, means=[2.2] * 5, spreads=[1.0] * 5,
+    tolerance=1e-6, max_tries=500,
+))
+# the run column is constant in the first positive try, which raises, and
+# not in a later one that would hit the targets
+@example(spec=dict(
+    seed=571762917, size=5, r_swim_bike=-0.6497065538081306, r_bike_run=-0.5699535623605274,
+    means=[121.62591401874799, 174.20661216188134, 81.62743368091827, 136.12153563463804,
+           124.50679513327394],
+    spreads=[21.75580946791919, 33.20740254053021, 14.810794538662813, 18.513431357257826,
+             3.5716954303451835e-15],
+    tolerance=0.43461226876448, max_tries=18,
+))
+# the bike column's variances underflow in the first positive try, which
+# raises, and not in a later one that would hit the targets
+@example(spec=dict(
+    seed=1688277367, size=8, r_swim_bike=0.21222254416162745, r_bike_run=-0.041618390294467345,
+    means=[199.0300109446162, 137.22632859253824, 3.252221464475111e-154, 161.21898916261853,
+           141.12846495741348],
+    spreads=[5.026709835433643, 10.779175144298662, 7.0302290156369425e-155, 46.30968454113329,
+             7.001702302790892],
+    tolerance=0.14913352121684276, max_tries=20,
+))
+@settings(max_examples=300, deadline=None)
+def test_synthesis_matches_the_per_try_oracle(spec):
+    """Chunked draws and the screen change nothing that a caller sees: the
+    archive, or the error and its text, is the per-try loop's."""
+    assert synthesis_outcome(synthesize_archive, **spec) == synthesis_outcome(
+        reference_synthesize_archive, **spec
+    )
+
+
+@pytest.mark.parametrize(
+    "tolerance, max_tries", [(0.02, 500), (1e-6, 3)], ids=["found", "not-found"]
+)
+def test_ten_thousand_row_synthesis_matches_the_per_try_oracle(tolerance, max_tries):
+    # one try per chunk at this size
+    spec = dict(REFERENCE_SYNTHESIS, size=10_000, tolerance=tolerance, max_tries=max_tries)
+    outcome = synthesis_outcome(synthesize_archive, **spec)
+    assert outcome == synthesis_outcome(reference_synthesize_archive, **spec)
+    assert (outcome[0] is SynthesisError) == (tolerance == 1e-6)
 
 
 times = st.floats(min_value=0.5, max_value=400.0, allow_nan=False)

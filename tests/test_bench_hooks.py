@@ -88,6 +88,8 @@ def test_reference_predict_counters(monkeypatch):
     assert metrics["preference.feasible_eval_share"] == 8_137 / 50_000  # 0.16274
     assert metrics["preference.ceiling_reject_share"] == 21_899 / 50_000  # 0.43798
     assert metrics["pso.last_improvement_gen"] == 153.2
+    # the one synthesis try that hits both targets; the screen rules out the rest
+    assert metrics["stats.pearson_calls"] == 2
 
 
 # Rows as the benchmark's load_correlate file writes them, in its three time

@@ -851,7 +851,7 @@ class DrawsThatDoNotFit:
     "argv, count",
     [
         (["synth", "--synth-spec", json.dumps(dict(HIGH_SPEC, size=10**13)), "--out", "x.csv"],
-         10**13),
+         5 * 10**13),
         (["predict", "--synth-spec", high_spec_json(), "--np", str(10**13),
           "--max-fes", str(10**13)], 5 * 10**13),
     ],
