@@ -72,8 +72,10 @@ MAX_PLACE = 2**62
 _BLOCK_ROWS = 1024
 
 # Normals that synthesize_archive draws at most per chunk of tries (at least
-# one try), and the band of variances that its screen of the tries trusts.
+# one try), the tries of its first chunk, which doubles up to that cap, and
+# the band of variances that its screen of the tries trusts.
 _CHUNK_NORMALS = 2**14
+_FIRST_CHUNK_TRIES = 16
 _SAFE_LOW = 2 * sys.float_info.min
 _SAFE_HIGH = sys.float_info.max / 2
 
@@ -629,15 +631,16 @@ def synthesize_archive(
 
     A try draws ``5 * size`` normals: the latent, swim, run, T1 and T2
     draws, in that order.  Tries are drawn in chunks, one
-    ``standard_normal((k, 5, size))`` call holding at most about 2**14
-    normals (``k`` at least 1), which is the stream of drawing them one try
-    at a time.  Positivity is checked for the whole chunk at once, and
-    :func:`_surely_missed` screens out the positive tries whose
-    correlations surely miss; the rest go to :func:`pearson` and the
-    tolerance test in try order, as if every try went there.  So the
-    archive, any :class:`CorrelationUndefinedError` and the
-    :class:`SynthesisError` text, whose last achieved pair is that of the
-    last positive try, do not depend on the screen.
+    ``standard_normal((k, 5, size))`` call each, which is the stream of
+    drawing them one try at a time.  The first chunk holds 16 tries and
+    each next one twice as many, up to about 2**14 normals (``k`` at least
+    1), so a spec that succeeds early draws few tries.  Positivity is
+    checked for the whole chunk at once, and :func:`_surely_missed` screens
+    out the positive tries whose correlations surely miss; the rest go to
+    :func:`pearson` and the tolerance test in try order, as if every try
+    went there.  So the archive, any :class:`CorrelationUndefinedError` and
+    the :class:`SynthesisError` text, whose last achieved pair is that of
+    the last positive try, do not depend on the screen.
 
     An argument of the wrong type (numbers must be finite, integers may be
     integral floats but not bools), a negative seed or tolerance, a
@@ -674,11 +677,12 @@ def synthesize_archive(
     rng = np.random.default_rng(seed)
     weights = (np.sqrt(1.0 - r_swim_bike**2), np.sqrt(1.0 - r_bike_run**2))
     per_chunk = max(1, _CHUNK_NORMALS // (5 * size))
+    chunk = min(_FIRST_CHUNK_TRIES, per_chunk)
     bound = tolerance + 8 * size * sys.float_info.epsilon
     last = None  # the swim, bike and run columns of the last positive try
     tried = 0
     while tried < max_tries:
-        chunk = min(per_chunk, max_tries - tried)
+        chunk = min(chunk, max_tries - tried)
         tried += chunk
         # one try per row: the latent, swim, run, T1 and T2 draws of a try
         draws = rng.standard_normal((chunk, 5, size))
@@ -710,6 +714,7 @@ def synthesize_archive(
         if positive.any():
             i = np.flatnonzero(positive)[-1]
             last = (swim[i], bike[i], run[i])
+        chunk = min(2 * chunk, per_chunk)
     achieved = (float("nan"), float("nan"))
     if last is not None:
         achieved = (pearson(last[0], last[1]), pearson(last[1], last[2]))

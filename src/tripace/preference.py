@@ -27,10 +27,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, replace
 from numbers import Real
-from typing import Callable
 
 from .archive import DISCIPLINES, Archive, SplitVector, extend_archive
-from .pso import PsoConfig, finite_number, run
+from .pso import Fitness, PsoConfig, finite_number, run
 from .stats import (  # noqa: F401  -- pearson stays a module attribute for span tracers
     CorrelationPair,
     CorrelationUndefinedError,
@@ -136,7 +135,7 @@ def resolve_target_ceiling(cfg: ModelConfig) -> float:
 
 def _position_fitness(
     base: Archive, cfg: ModelConfig, base_correlation: CorrelationPair
-) -> Callable[[tuple[float, ...]], float]:
+) -> Fitness:
     """Optimizer-facing objective, to be minimized, in O(1) per call.
 
     A candidate is feasible when its total stays at or under the target
@@ -170,7 +169,7 @@ def _position_fitness(
         base.swim_column(), base.bike_column(), base.run_column()
     )
 
-    def fitness(position: tuple[float, ...]) -> float:
+    def fitness(position: list[float]) -> float:
         x_swim, x_t1, x_bike, x_t2, x_run = position
         total = x_swim + x_t1 + x_bike + x_t2 + x_run
         if total > ceiling:

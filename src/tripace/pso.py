@@ -16,14 +16,15 @@ zeroed.  :func:`move` is that step for m particles at once.
 The swarm state is three (NP, D) float64 arrays: positions, velocities and
 personal bests.  :func:`run` is one generation loop: generation 0 scores
 the starting positions, and every later generation first moves all of its
-particles with one :func:`move` call against the current global best (numpy
+particles with one vectorised step against the current global best (numpy
 does not pay on one five-component vector, but it does on a whole
 generation).  Fitness is called once per particle, in index order, with the
-position as a tuple of floats.  The global best is asynchronous (Carlisle
-& Dozier 2001): a particle sees bests found earlier in its own generation.
+position as a new list of floats, one ``tolist()`` row per particle, which
+fitness must not change.  The global best is asynchronous (Carlisle &
+Dozier 2001): a particle sees bests found earlier in its own generation.
 So when a particle becomes the new global best, the particles after it are
 moved again with the new best.  A moved generation therefore costs one
-vectorised move plus one more for each mid-generation change of the global
+vectorised step plus one more for each mid-generation change of the global
 best, and the speed rests on such changes being rare.  Each row uses the
 scalar association above, so the positions are bit for bit those of a
 particle-by-particle loop.  A particle's personal best changes only at its
@@ -35,13 +36,16 @@ generation has touched.
 
 Reproducibility contract: a single seeded generator drives one run.
 Initialization draws all NP * D uniforms in one call, particle by particle
-and component by component within a particle.  Each later generation
-draws its 2 * NP scalars in one call and reads them as u1, u2 of particle
-0, then u1, u2 of particle 1, and so on.  ``Generator.random(n)`` yields the
-same stream as n single draws, so this is the same sequence as drawing
-u1 then u2 at every move; a generation cut short by the budget draws its
-full 2 * NP, which the run never reads.  Best updates use <=, so a later
-equal score replaces the incumbent.
+and component by component within a particle.  The moved generations draw
+their scalars in blocks: one ``random((k, NP, 2))`` call holds the u1, u2
+of particle 0, then of particle 1 and so on, for k generations in a row,
+with k = max(1, 4096 // (2 * NP)) capped by the moved generations left.
+``Generator.random`` yields the same stream whatever the shape of the call,
+so this is the same sequence as drawing u1 then u2 at every move; a
+generation cut short by the budget draws its full 2 * NP, which the run
+never reads.  A block is multiplied once by (c1, c2), which gives the
+products ``c1 * u1`` and ``c2 * u2`` of each move.  Best updates use <=, so
+a later equal score replaces the incumbent.
 """
 
 from __future__ import annotations
@@ -53,7 +57,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-Fitness = Callable[[tuple[float, ...]], float]
+Fitness = Callable[[list[float]], float]
+
+# Uniforms that run draws per call for a block of generations (32 KB), but
+# at least one generation's 2 * NP.
+_BLOCK_DRAWS = 4096
 
 
 def integer_setting(name: str, value: object) -> int:
@@ -130,6 +138,25 @@ class PsoResult(NamedTuple):
     history: list[float]
 
 
+def _step(
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    personal_bests: np.ndarray,
+    global_best: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`move` with the coefficients ``a = c1*u1`` and ``b = c2*u2``
+    given as (m, 1) columns."""
+    velocities = velocities + a * (personal_bests - positions) + b * (global_best - positions)
+    moved = positions + velocities
+    positions = np.minimum(np.maximum(moved, lower), upper)
+    np.putmask(velocities, positions != moved, 0.0)  # velocities is a new array here
+    return positions, velocities
+
+
 def move(
     positions: np.ndarray,
     velocities: np.ndarray,
@@ -153,13 +180,8 @@ def move(
     new ``(positions, velocities)`` as new arrays and leaves every input as
     it was.
     """
-    a = (c1 * u1)[:, None]
-    b = (c2 * u2)[:, None]
-    velocities = velocities + a * (personal_bests - positions) + b * (global_best - positions)
-    moved = positions + velocities
-    positions = moved.clip(lower, upper)
-    velocities[positions != moved] = 0.0  # velocities is a new array here
-    return positions, velocities
+    a, b = (c1 * u1)[:, None], (c2 * u2)[:, None]
+    return _step(positions, velocities, personal_bests, global_best, a, b, lower, upper)
 
 
 def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
@@ -170,26 +192,31 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     its particles first.  Each generation scores and ranks its particles in
     index order, so particles later in the scan already see bests found
     earlier in the same generation.  Stops as soon as the budget is
-    exhausted, mid generation if need be.  The best position is the tuple
-    of floats that fitness scored.  The history holds the global best after
-    each generation and never increases.
+    exhausted, mid generation if need be.  Fitness gets each position as a
+    new list of floats, which it must not change.  The best position is a
+    tuple of the floats that fitness scored.  The history holds the global
+    best after each generation and never increases.
     """
     rng = np.random.default_rng(config.rng_seed)
     size = config.swarm_size
     budget = config.max_evaluations
-    c1 = config.c1
-    c2 = config.c2
+    factors = np.array((config.c1, config.c2), dtype=float)
     lower = np.array(config.lower)
     upper = np.array(config.upper)
     isfinite = math.isfinite
+    per_block = max(1, _BLOCK_DRAWS // (2 * size))
 
     positions = lower + rng.random((size, len(lower))) * (upper - lower)
     velocities = np.zeros_like(positions)
     personal_bests = positions.copy()
     personal_values = [math.inf] * size
-    # particle 0 stands in as the global best while no score is finite
-    best_position = tuple(positions[0].tolist())
+    # Particle 0 stands in as the global best while no score is finite.  The
+    # global best is a row of a scored generation, which nothing writes again.
+    global_best = positions[0]
+    best_position = tuple(global_best.tolist())
     best_value = math.inf
+    block = np.empty((0, size, 2))  # c1*u1, c2*u2 per particle, per generation
+    drawn = 0
     used = 0
     history = []
 
@@ -201,13 +228,17 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
         bests = personal_bests[:moves]
         new_positions, new_velocities = positions, velocities
         if used:  # generation 0 scores the starting positions where they are
-            u = rng.random(2 * size)
-            u1 = u[0 : 2 * moves : 2]
-            u2 = u[1 : 2 * moves : 2]
-            new_positions, new_velocities = move(
-                positions, velocities, bests, best_position, c1, c2, u1, u2, lower, upper
+            if drawn == len(block):
+                generations_left = -(-(budget - used) // size)
+                block = rng.random((min(per_block, generations_left), size, 2)) * factors
+                drawn = 0
+            a = block[drawn, :moves, :1]
+            b = block[drawn, :moves, 1:]
+            drawn += 1
+            new_positions, new_velocities = _step(
+                positions, velocities, bests, global_best, a, b, lower, upper
             )
-        rows = list(zip(*new_positions.T.tolist()))
+        rows = new_positions.tolist()
         for i in range(moves):
             value = float(fitness(rows[i]))
             # Non-finite scores count against the budget but never become a best.
@@ -215,16 +246,17 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
                 personal_values[i] = value
                 bests[i] = new_positions[i]  # bests is a view of personal_bests
             if value <= best_value and isfinite(value):
-                best_position = rows[i]
+                global_best = new_positions[i]
+                best_position = tuple(rows[i])
                 best_value = value
                 if used and i + 1 < moves:
                     # the particles after i have to see the new global best
                     rest = slice(i + 1, moves)
-                    new_positions[rest], new_velocities[rest] = move(
-                        positions[rest], velocities[rest], bests[rest], best_position,
-                        c1, c2, u1[rest], u2[rest], lower, upper,
+                    new_positions[rest], new_velocities[rest] = _step(
+                        positions[rest], velocities[rest], bests[rest], global_best,
+                        a[rest], b[rest], lower, upper,
                     )
-                    rows[rest] = zip(*new_positions[rest].T.tolist())
+                    rows[rest] = new_positions[rest].tolist()
         positions, velocities = new_positions, new_velocities
         used += moves
         history.append(best_value)

@@ -684,14 +684,21 @@ REFERENCE_SYNTHESIS = dict(
 @given(spec=synthesis_specs())
 @example(spec=REFERENCE_SYNTHESIS)
 @example(spec=dict(REFERENCE_SYNTHESIS, tolerance=1e-9, max_tries=3))
-# found in the second chunk of 109 tries, and not found in five
+# at 30 rows the chunks hold 16, 32, 64 and then 109 tries: found at try 60,
+# in the third chunk; at try 119, in the fourth; and not found in seven
+@example(spec=dict(REFERENCE_SYNTHESIS, seed=7))
 @example(spec=dict(REFERENCE_SYNTHESIS, tolerance=0.002))
 @example(spec=dict(REFERENCE_SYNTHESIS, tolerance=0.001))
-# the last chunk, of 11 tries, has no positive try: the last achieved pair
+# at 20 rows the chunks hold 16, 32, 64, 128 and then 163 tries; with 407
+# tries the last chunk, of 4, has no positive try: the last achieved pair
 # is that of a try in the chunk before
 @example(spec=dict(
     seed=19, size=20, r_swim_bike=0.5, r_bike_run=0.2, means=[2.2] * 5, spreads=[1.0] * 5,
     tolerance=1e-6, max_tries=500,
+))
+@example(spec=dict(
+    seed=19, size=20, r_swim_bike=0.5, r_bike_run=0.2, means=[2.2] * 5, spreads=[1.0] * 5,
+    tolerance=1e-6, max_tries=407,
 ))
 # the run column is constant in the first positive try, which raises, and
 # not in a later one that would hit the targets

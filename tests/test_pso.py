@@ -23,6 +23,12 @@ def sphere(x):
     return float(np.dot(x, x))
 
 
+def worsening():
+    """An objective whose every score is worse than the one before."""
+    calls = itertools.count()
+    return lambda x: float(next(calls))
+
+
 def make_config(**overrides):
     kwargs = dict(
         swarm_size=50,
@@ -115,7 +121,7 @@ class TestInitSwarm:
         assert len(seen) == 50
         assert result.evaluations_used == 50
         for position in seen:
-            assert isinstance(position, tuple) and len(position) == 5
+            assert type(position) is list and len(position) == 5
             assert all(type(v) is float for v in position)
             assert all(lo <= v <= hi for v, lo, hi in zip(position, *TABLE_BOUNDS))
 
@@ -139,7 +145,7 @@ class TestInitSwarm:
         values = [sphere(position) for position in seen]
         assert result.history == [min(values)]
         assert result.best_value == min(values)
-        assert tuple(result.best_position) == seen[values.index(min(values))]
+        assert result.best_position == tuple(seen[values.index(min(values))])
 
     def test_sliver_bounds(self):
         eps = 1e-9
@@ -355,7 +361,7 @@ class TestMatchesReferenceEngine:
 
     def assert_identical(self, cfg, fitness=sphere, reference_fitness=None):
         result, seen, reference, seen_reference = run_both(cfg, fitness, reference_fitness)
-        assert seen == seen_reference
+        assert [tuple(position) for position in seen] == seen_reference
         assert len(seen) == reference.evaluations_used
         assert result.best_position == tuple(reference.best_position.tolist())
         assert all(type(v) is float for v in result.best_position)
@@ -436,6 +442,50 @@ class TestMatchesReferenceEngine:
         result = run(cfg, last_evaluation_improves())
         assert result.best_value == -1.0 and result.history[-1] == -1.0
 
+    # run draws the coefficients of several generations per call (40 at
+    # NP 50, 2 048 at NP 1); each case below crosses a block and ends short
+    # of a full block or in the middle of a generation.  Scores that only
+    # get worse keep the bests at generation 0, so the particles never
+    # settle and every later draw moves them.  (A lone particle starts at
+    # its own bests with no velocity, so it never moves at all.)
+
+    @pytest.mark.parametrize(
+        "size, budget", [(1, 5_000), (7, 3_001), (41, 2_053), (50, 9_999), (50, 10_000)]
+    )
+    @pytest.mark.parametrize("objective", ["sphere", "worsening"])
+    def test_across_draw_blocks(self, size, budget, objective):
+        cfg = make_config(swarm_size=size, max_evaluations=budget, rng_seed=size + budget)
+        if objective == "sphere":
+            self.assert_identical(cfg)
+        else:
+            self.assert_identical(cfg, worsening(), worsening())
+
+    @given(
+        size=st.integers(1, 4),
+        dimension=st.integers(1, 6),
+        c1=st.floats(0.0, 3.0),
+        c2=st.floats(0.0, 3.0),
+        budget_per_particle=st.integers(1, 3_000),
+        extra=st.integers(0, 3),
+        seed=st.integers(0, 2**63),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_property_across_draw_blocks(
+        self, size, dimension, c1, c2, budget_per_particle, extra, seed
+    ):
+        """NP 1-4 with budgets up to 3 000 NP, which reach past the first
+        block of draws (2 048 generations at NP 1, 512 at NP 4)."""
+        cfg = make_config(
+            swarm_size=size,
+            lower=(-5.0,) * dimension,
+            upper=(5.0,) * dimension,
+            c1=c1,
+            c2=c2,
+            max_evaluations=min(size * budget_per_particle + extra, 3_000 * size),
+            rng_seed=seed,
+        )
+        self.assert_identical(cfg, worsening(), worsening())
+
     @given(
         size=st.integers(1, 60),
         dimension=st.integers(1, 6),
@@ -509,6 +559,30 @@ class TestRun:
         assert result.best_position[0] <= 0.0
         assert math.isfinite(result.best_value)
         assert result.evaluations_used == 2_000
+
+    def test_each_evaluation_gets_its_own_list(self):
+        """Fitness gets a new list of D floats at every evaluation, which the
+        engine never changes afterwards nor passes again, also across a
+        re-move of the rest of a generation and a new block of draws."""
+        calls = itertools.count()
+        kept, copies = [], []
+
+        def fitness(position):
+            kept.append(position)
+            copies.append(list(position))
+            call = next(calls)
+            # improves at every third evaluation, so rows are moved again
+            return -float(call) if call % 3 == 0 else sphere(position) + 1e6
+
+        cfg = make_config(swarm_size=7, max_evaluations=3_001, rng_seed=8)
+        result = run(cfg, fitness)
+        assert len(kept) == result.evaluations_used == 3_001
+        assert all(type(position) is list and len(position) == 5 for position in kept)
+        assert all(type(v) is float for position in kept for v in position)
+        assert len({id(position) for position in kept}) == len(kept)
+        assert kept == copies
+        assert type(result.best_position) is tuple
+        assert result.best_position == tuple(kept[3_000])
 
     def test_all_non_finite_fitness_completes(self):
         cfg = make_config(max_evaluations=200)
