@@ -33,7 +33,7 @@ from .experiment import (
     synthesize_from_spec,
 )
 from .preference import DEFAULT_BOUNDS, ModelConfig
-from .stats import CorrelationUndefinedError, archive_correlation
+from .stats import archive_correlation
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -106,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--personal-best", type=float, default=None, metavar="MINUTES",
         help="derive the ceiling as a five percent improvement on this time",
     )
-    p.add_argument("--np", type=int, default=50, dest="swarm_size", help="swarm size (default 50)")
+    p.add_argument(
+        "--np", type=int, default=50, dest="swarm_size", help="swarm size, at least 2 (default 50)"
+    )
     p.add_argument(
         "--max-fes", type=int, default=10_000, help="evaluation budget per run (default 10000)"
     )
@@ -210,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"predict": _cmd_predict, "correlate": _cmd_correlate, "synth": _cmd_synth}
     try:
         return handlers[args.command](args)
-    except (ArchiveError, SynthesisError, CorrelationUndefinedError, ValueError, OSError) as exc:
+    except (ValueError, SynthesisError, OSError) as exc:  # input faults are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:  # a synthetic archive or a swarm too large to hold

@@ -83,6 +83,8 @@ class ExperimentConfig:
                 f"got {self.base_seed}"
             )
         self.pso_config(1)  # the swarm settings fail here, before any work
+        if self.swarm_size < 2:  # a lone particle starts at both bests and never moves
+            raise ValueError(f"swarm_size must be at least 2, got {self.swarm_size}")
 
     def pso_config(self, index: int) -> PsoConfig:
         """Swarm settings of run ``index`` (1-based), seeded ``base_seed + index``."""

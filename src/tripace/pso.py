@@ -11,14 +11,18 @@ with u1 and u2 each applied to the whole difference vector.  Scalar draws
 per term (not per component) are deliberate and behavior-affecting; do not
 "fix" this to the per-component variant.  Out-of-bounds components of x' are
 clamped to the violated bound and the corresponding velocity component is
-zeroed.  :func:`move` is that step for m particles at once.
+zeroed.  :func:`move` is that step for m particles at once, given the
+products ``c1 * u1`` and ``c2 * u2`` as (m, 1) columns; it is the only step
+function, and :func:`run` calls it.
 
 The swarm state is three (NP, D) float64 arrays: positions, velocities and
-personal bests.  :func:`run` is one generation loop: generation 0 scores
-the starting positions, and every later generation first moves all of its
-particles with one vectorised step against the current global best (numpy
-does not pay on one five-component vector, but it does on a whole
-generation).  Fitness is called once per particle, in index order, with the
+personal bests, at full width in every generation.  :func:`run` is one
+generation loop: generation 0 scores the starting positions, and every
+later generation first moves all of its particles with one vectorised step
+against the current global best (numpy does not pay on one five-component
+vector, but it does on a whole generation).  A generation cut short by the
+budget still moves all NP particles and scores only the first of them.
+Fitness is called once per scored particle, in index order, with the
 position as a new list of floats, one ``tolist()`` row per particle, which
 fitness must not change.  The global best is asynchronous (Carlisle &
 Dozier 2001): a particle sees bests found earlier in its own generation.
@@ -42,10 +46,10 @@ of particle 0, then of particle 1 and so on, for k generations in a row,
 with k = max(1, 4096 // (2 * NP)) capped by the moved generations left.
 ``Generator.random`` yields the same stream whatever the shape of the call,
 so this is the same sequence as drawing u1 then u2 at every move; a
-generation cut short by the budget draws its full 2 * NP, which the run
-never reads.  A block is multiplied once by (c1, c2), which gives the
-products ``c1 * u1`` and ``c2 * u2`` of each move.  Best updates use <=, so
-a later equal score replaces the incumbent.
+generation cut short by the budget draws and uses its full 2 * NP.  A
+block is multiplied once by (c1, c2), which gives the products ``c1 * u1``
+and ``c2 * u2`` of each move.  Best updates use <=, so a later equal score
+replaces the incumbent.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ class PsoResult(NamedTuple):
     history: list[float]
 
 
-def _step(
+def move(
     positions: np.ndarray,
     velocities: np.ndarray,
     personal_bests: np.ndarray,
@@ -148,40 +152,22 @@ def _step(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`move` with the coefficients ``a = c1*u1`` and ``b = c2*u2``
-    given as (m, 1) columns."""
+    """Move m particles: velocity update, position update, bound repair.
+
+    ``positions``, ``velocities`` and ``personal_bests`` are (m, D) arrays,
+    ``global_best``, ``lower`` and ``upper`` D-vectors, and ``a``, ``b``
+    (m, 1) columns holding each particle's coefficients ``c1*u1`` and
+    ``c2*u2``.  Row by row and componentwise ``v' = v + a*(p - x) + b*(g - x)``
+    and ``x' = x + v'``; a component of ``x'`` outside its bound is clamped
+    to the violated bound and its velocity component set to 0.0.  Returns
+    the new ``(positions, velocities)`` as new arrays and leaves every input
+    as it was.
+    """
     velocities = velocities + a * (personal_bests - positions) + b * (global_best - positions)
     moved = positions + velocities
     positions = np.minimum(np.maximum(moved, lower), upper)
     np.putmask(velocities, positions != moved, 0.0)  # velocities is a new array here
     return positions, velocities
-
-
-def move(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    personal_bests: np.ndarray,
-    global_best: np.ndarray,
-    c1: float,
-    c2: float,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Move m particles: velocity update, position update, bound repair.
-
-    ``positions``, ``velocities`` and ``personal_bests`` are (m, D) arrays,
-    ``global_best``, ``lower`` and ``upper`` D-vectors, and ``u1``, ``u2``
-    length-m vectors holding each particle's two draws.  Row by row and
-    componentwise ``v' = v + (c1*u1)*(p - x) + (c2*u2)*(g - x)`` and
-    ``x' = x + v'``; a component of ``x'`` outside its bound is clamped to
-    the violated bound and its velocity component set to 0.0.  Returns the
-    new ``(positions, velocities)`` as new arrays and leaves every input as
-    it was.
-    """
-    a, b = (c1 * u1)[:, None], (c2 * u2)[:, None]
-    return _step(positions, velocities, personal_bests, global_best, a, b, lower, upper)
 
 
 def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
@@ -213,7 +199,6 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     # Particle 0 stands in as the global best while no score is finite.  The
     # global best is a row of a scored generation, which nothing writes again.
     global_best = positions[0]
-    best_position = tuple(global_best.tolist())
     best_value = math.inf
     block = np.empty((0, size, 2))  # c1*u1, c2*u2 per particle, per generation
     drawn = 0
@@ -221,22 +206,19 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
     history = []
 
     while used < budget:
+        # only the last generation can be short, and it too moves every particle
         moves = min(size, budget - used)
-        # Only the last generation can be short, so its state may shrink.
-        positions = positions[:moves]
-        velocities = velocities[:moves]
-        bests = personal_bests[:moves]
         new_positions, new_velocities = positions, velocities
         if used:  # generation 0 scores the starting positions where they are
             if drawn == len(block):
                 generations_left = -(-(budget - used) // size)
                 block = rng.random((min(per_block, generations_left), size, 2)) * factors
                 drawn = 0
-            a = block[drawn, :moves, :1]
-            b = block[drawn, :moves, 1:]
+            a = block[drawn, :, :1]
+            b = block[drawn, :, 1:]
             drawn += 1
-            new_positions, new_velocities = _step(
-                positions, velocities, bests, global_best, a, b, lower, upper
+            new_positions, new_velocities = move(
+                positions, velocities, personal_bests, global_best, a, b, lower, upper
             )
         rows = new_positions.tolist()
         for i in range(moves):
@@ -244,16 +226,15 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
             # Non-finite scores count against the budget but never become a best.
             if value <= personal_values[i] and isfinite(value):
                 personal_values[i] = value
-                bests[i] = new_positions[i]  # bests is a view of personal_bests
+                personal_bests[i] = new_positions[i]
             if value <= best_value and isfinite(value):
                 global_best = new_positions[i]
-                best_position = tuple(rows[i])
                 best_value = value
                 if used and i + 1 < moves:
                     # the particles after i have to see the new global best
-                    rest = slice(i + 1, moves)
-                    new_positions[rest], new_velocities[rest] = _step(
-                        positions[rest], velocities[rest], bests[rest], global_best,
+                    rest = slice(i + 1, None)
+                    new_positions[rest], new_velocities[rest] = move(
+                        positions[rest], velocities[rest], personal_bests[rest], global_best,
                         a[rest], b[rest], lower, upper,
                     )
                     rows[rest] = new_positions[rest].tolist()
@@ -262,7 +243,7 @@ def run(config: PsoConfig, fitness: Fitness) -> PsoResult:
         history.append(best_value)
 
     return PsoResult(
-        best_position=best_position,
+        best_position=tuple(global_best.tolist()),
         best_value=best_value,
         evaluations_used=used,
         history=history,

@@ -96,7 +96,7 @@ def test_criterion_2_step_oracle_equivalence():
             # one particle as a one-row batch
             positions, velocities = move(
                 np.array([x]), np.array([v]), np.array([pb]), np.array(gb),
-                cfg.c1, cfg.c2, np.array([u1]), np.array([u2]),
+                np.array([[cfg.c1 * u1]]), np.array([[cfg.c2 * u2]]),
                 np.array(cfg.lower), np.array(cfg.upper),
             )
             ox, ov = oracle_step(x, v, pb, gb, cfg.c1, cfg.c2, u1, u2, lower, upper)

@@ -576,6 +576,7 @@ class TestPredictCommand:
         "option, value, message",
         [
             ("--np", "0", "swarm_size must be positive, got 0"),
+            ("--np", "1", "swarm_size must be at least 2, got 1"),
             ("--seed", "-3", NEGATIVE_SEED_MESSAGE),
             (
                 "--max-fes", "10",

@@ -157,7 +157,8 @@ class TestInitSwarm:
 
 @st.composite
 def move_states(draw):
-    """Inputs of one ``move`` call, plus where each component should land.
+    """Inputs of one ``move`` call, with ``c1, c2, u1, u2`` in place of its
+    coefficient columns, plus where each component should land.
 
     Per component the landing is inside the box, exactly on a bound or
     beyond one, and the velocity is solved for it.  Every value is a
@@ -211,6 +212,11 @@ def move_states(draw):
     return (x, v, p, g, c1, c2, u1, u2, lower, upper), np.array(targets), exact
 
 
+def columns(c1, c2, u1, u2):
+    """``move``'s coefficient columns ``c1*u1`` and ``c2*u2`` for length-m draws."""
+    return (c1 * np.asarray(u1))[:, None], (c2 * np.asarray(u2))[:, None]
+
+
 def move_with(x, v, pbest, gbest, cfg, u1=0.3, u2=0.7):
     """``move`` on one particle, given as a one-row batch; returns row tuples."""
     positions, velocities = move(
@@ -218,7 +224,9 @@ def move_with(x, v, pbest, gbest, cfg, u1=0.3, u2=0.7):
         np.array([v], dtype=float),
         np.array([pbest], dtype=float),
         np.array(gbest, dtype=float),
-        cfg.c1, cfg.c2, np.array([u1]), np.array([u2]), np.array(cfg.lower), np.array(cfg.upper),
+        *columns(cfg.c1, cfg.c2, [u1], [u2]),
+        np.array(cfg.lower),
+        np.array(cfg.upper),
     )
     return tuple(positions[0].tolist()), tuple(velocities[0].tolist())
 
@@ -247,13 +255,13 @@ class TestStepParticle:
     def test_personal_best_untouched(self):
         x, v = np.zeros((1, 5)), np.zeros((1, 5))
         pbest, gbest = np.full((1, 5), 2.0), np.full(5, -2.0)
-        u1, u2 = np.array([0.3]), np.array([0.7])
+        a, b = columns(2.0, 2.0, [0.3], [0.7])
         lower, upper = np.full(5, -5.0), np.full(5, 5.0)
-        position, _ = move(x, v, pbest, gbest, 2.0, 2.0, u1, u2, lower, upper)
+        position, _ = move(x, v, pbest, gbest, a, b, lower, upper)
         assert np.array_equal(pbest, np.full((1, 5), 2.0))
         assert np.array_equal(x, np.zeros((1, 5))) and np.array_equal(v, np.zeros((1, 5)))
         assert np.array_equal(gbest, np.full(5, -2.0))
-        assert np.array_equal(u1, [0.3]) and np.array_equal(u2, [0.7])
+        assert np.array_equal(a, [[0.6]]) and np.array_equal(b, [[1.4]])
         assert not np.array_equal(position, x)
 
     @pytest.mark.parametrize("dimension", [1, 5])
@@ -297,20 +305,17 @@ class TestStepParticle:
             gen.uniform(-8.0, 8.0, (m, d)),
             gen.uniform(lower, upper, (m, d)),
             gen.uniform(lower, upper),
-            c1,
-            c2,
-            gen.random(m),
-            gen.random(m),
+            *columns(c1, c2, gen.random(m), gen.random(m)),
             lower,
             upper,
         )
         saved = [np.copy(value) for value in inputs]
         positions, velocities = move(*inputs)
-        x, v, p, g, _, _, u1, u2, _, _ = inputs
+        x, v, p, g, a, b, _, _ = inputs
         for i in range(m):
             one = slice(i, i + 1)
             row_position, row_velocity = move(
-                x[one], v[one], p[one], g, c1, c2, u1[one], u2[one], lower, upper
+                x[one], v[one], p[one], g, a[one], b[one], lower, upper
             )
             assert np.array_equal(positions[i], row_position[0])
             assert np.array_equal(velocities[i], row_velocity[0])
@@ -324,7 +329,7 @@ class TestStepParticle:
         whether ``x + v'`` lands inside the box, on a bound or beyond one."""
         inputs, targets, exact = state
         x, v, p, g, c1, c2, u1, u2, lower, upper = inputs
-        positions, velocities = move(*inputs)
+        positions, velocities = move(x, v, p, g, *columns(c1, c2, u1, u2), lower, upper)
         for i in range(len(x)):
             particle = _Particle(x[i], v[i], p[i], math.inf)
             draws = SimpleNamespace(random=iter((u1[i], u2[i])).__next__)
