@@ -219,6 +219,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
 
-
-if __name__ == "__main__":
-    sys.exit(main())

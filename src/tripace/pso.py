@@ -55,6 +55,7 @@ replaces the incumbent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable, NamedTuple
@@ -66,6 +67,12 @@ Fitness = Callable[[list[float]], float]
 # Uniforms that run draws per call for a block of generations (32 KB), but
 # at least one generation's 2 * NP.
 _BLOCK_DRAWS = 4096
+
+# A velocity in the box is at most one box width w, so no term of a move
+# exceeds max(|lower|, |upper|) + (1 + c1 + c2) * w.  Keeping that at most
+# half the largest float, the margin ModelConfig gives the ceiling, keeps
+# every step finite.
+_STEP_CAP = sys.float_info.max / 2
 
 
 def integer_setting(name: str, value: object) -> int:
@@ -128,6 +135,14 @@ class PsoConfig:
             raise ValueError(
                 f"learning factors must be non-negative, got c1={self.c1!r}, c2={self.c2!r}"
             )
+        growth = 1.0 + self.c1 + self.c2
+        for lo, hi in zip(self.lower, self.upper):
+            reach = max(abs(lo), abs(hi)) + growth * (hi - lo)
+            if not reach <= _STEP_CAP:  # an overflow to inf counts as above
+                raise ValueError(
+                    f"a swarm step could overflow: bounds [{lo}, {hi}] with "
+                    f"c1={self.c1!r}, c2={self.c2!r} reach {reach}, above {_STEP_CAP}"
+                )
         if self.max_evaluations < self.swarm_size:
             raise ValueError(
                 "max_evaluations must cover at least one evaluation per particle, "

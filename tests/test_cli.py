@@ -54,6 +54,13 @@ FLOOR_ABOVE_THE_CAP = (
     f"{sys.float_info.max / 2}: the feasible set is empty"
 )
 
+# PsoConfig's error for a box and learning factors whose swarm step would
+# leave the floats, with the same cap of half the largest float
+STEP_OVERFLOW = (
+    "a swarm step could overflow: bounds [{}] with c1={}, c2={} reach inf, "
+    f"above {sys.float_info.max / 2}"
+)
+
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -96,7 +103,7 @@ def json_arg(tmp_path: Path, form: str, what: str) -> tuple[str, str]:
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """``tripace`` in a separate interpreter, so stderr holds all it prints.
+    """``python -m tripace`` in a separate interpreter, so stderr holds all it prints.
 
     In-process pytest captures logging records and warnings, and would hide
     a line printed through either.
@@ -105,7 +112,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "tripace.cli", *args],
+        [sys.executable, "-m", "tripace", *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
 
@@ -584,6 +591,12 @@ class TestPredictCommand:
                 "got 10 for swarm_size 50",
             ),
             ("--top-n", "2", "top_n must be at least 3, got 2"),
+            (
+                "--bounds", '{"bike": [140, 1.7e308]}',
+                STEP_OVERFLOW.format("140.0, 1.7e+308", "2.0", "2.0"),
+            ),
+            # two options, each spelled as one "--option=value" token
+            ("--c1=1e308", "--c2=1e308", STEP_OVERFLOW.format("25.0, 50.0", "1e+308", "1e+308")),
         ],
     )
     def test_swarm_setting_rejected_before_the_archive_is_read(self, capsys, option, value, message):

@@ -20,7 +20,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tables import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS
@@ -240,6 +240,19 @@ def command_lines(draw):
     return argv, archive
 
 
+# A learning factor whose swarm step would overflow, with a budget that moves
+# the swarm: pinned, so that it does not rest on a draw of ``tokens``.
+OVERFLOWING_STEP = [
+    "predict",
+    "--synth-spec",
+    json.dumps({
+        "seed": 1, "size": 30, "r_swim_bike": 0.73, "r_bike_run": 0.0,
+        "means": list(SYNTH_MEANS), "spreads": list(SYNTH_SPREADS),
+    }),
+    "--np", "50", "--max-fes", "2000", "--c1", "1.5e308",
+]
+
+
 def write_archive(tmp: str, archive: tuple[str, str | bytes]) -> str:
     """Write one ``archive_files`` example into ``tmp``; return its path."""
     suffix, content = archive
@@ -257,6 +270,7 @@ def write_archive(tmp: str, archive: tuple[str, str | bytes]) -> str:
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(call=command_lines())
+@example(call=(OVERFLOWING_STEP, None))
 def test_malformed_input_ends_in_an_exit_code(call):
     argv, archive = call
     with tempfile.TemporaryDirectory() as tmp:

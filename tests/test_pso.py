@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,6 +99,29 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="rng_seed must be non-negative, got -3"):
             make_config(rng_seed=-3)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(lower=(-1e308,) * 5, upper=(1e308,) * 5),
+            dict(lower=(140.0,) * 5, upper=(1.7e308,) * 5),
+            dict(c1=1.5e308),
+            dict(c1=1e308, c2=1e308),
+        ],
+        ids=["box-1e308", "upper-1.7e308", "c1-1.5e308", "c1-c2-1e308"],
+    )
+    def test_step_that_could_overflow(self, overrides):
+        with pytest.raises(ValueError, match="a swarm step could overflow"):
+            make_config(**overrides)
+
+    def test_widest_accepted_box_moves_without_overflow(self):
+        """At c1 = c2 = 2 a move from [0, u] reaches at most u + 5u, so u at a
+        sixth of the cap of half the largest float is accepted and stays finite."""
+        upper = sys.float_info.max / 2 / 6
+        cfg = make_config(lower=(0.0,) * 3, upper=(upper,) * 3, max_evaluations=2_000)
+        with np.errstate(all="raise"):
+            result = run(cfg, sum)
+        assert all(math.isfinite(v) for v in result.best_position)
 
 
 def record_run(cfg, fitness=None):
