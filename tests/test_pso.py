@@ -346,6 +346,54 @@ class TestStepParticle:
         assert all(np.array_equal(a, b) for a, b in zip(inputs, saved))
         assert ((positions == lower) | (positions == upper)).any()
 
+    @given(
+        m=st.integers(1, 60),
+        d=st.integers(1, 6),
+        c1=st.floats(0.0, 3.0),
+        c2=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_full_width_operands(self, m, d, c1, c2, seed):
+        """(m, 1) coefficient columns and (D,) bounds give the bytes of their
+        contiguous (m, D) expansions, which ``run`` passes, for the whole
+        batch and for the rows after each particle that a re-move passes."""
+        gen = np.random.default_rng(seed)
+        lower = gen.uniform(-10.0, 0.0, d)
+        upper = gen.uniform(0.5, 10.0, d)
+        width = upper - lower
+        x = gen.uniform(lower, upper, (m, d))
+        v = gen.uniform(-2.0 * width, 2.0 * width, (m, d))
+        # An attraction moves a component by at most (c1 + c2) box widths, so
+        # these two velocities land beyond upper and below lower whatever it is.
+        reach = (2.0 + c1 + c2) * width
+        v[0, 0] = reach[0]
+        if m * d > 1:
+            v[-1, -1] = -reach[-1]
+        p = gen.uniform(lower, upper, (m, d))
+        g = gen.uniform(lower, upper)
+        a, b = columns(c1, c2, gen.random(m), gen.random(m))
+        wide = (
+            np.repeat(a, d, axis=1),
+            np.repeat(b, d, axis=1),
+            np.tile(lower, (m, 1)),
+            np.tile(upper, (m, 1)),
+        )
+        assert all(operand.flags.c_contiguous for operand in wide)
+
+        positions, velocities = move(x, v, p, g, a, b, lower, upper)
+        wide_positions, wide_velocities = move(x, v, p, g, *wide)
+        assert wide_positions.tobytes() == positions.tobytes()
+        assert wide_velocities.tobytes() == velocities.tobytes()
+        assert positions[0, 0] == upper[0] and velocities[0, 0] == 0.0
+        if m * d > 1:
+            assert positions[-1, -1] == lower[-1] and velocities[-1, -1] == 0.0
+        for i in range(m - 1):
+            rest = slice(i + 1, None)
+            narrow = move(x[rest], v[rest], p[rest], g, a[rest], b[rest], lower, upper)
+            full = move(x[rest], v[rest], p[rest], g, *(operand[rest] for operand in wide))
+            assert [array.tobytes() for array in full] == [array.tobytes() for array in narrow]
+
     @given(state=move_states())
     @settings(max_examples=200, deadline=None)
     def test_equals_reference_step(self, state):
@@ -588,6 +636,40 @@ class TestRun:
         assert result.best_position[0] <= 0.0
         assert math.isfinite(result.best_value)
         assert result.evaluations_used == 2_000
+
+    @pytest.mark.parametrize("objective", ["sphere", "partial_nan", "partial_inf", "countdown"])
+    def test_fitness_value_used_as_it_comes(self, objective):
+        """A fitness that returns ``np.float64(v)`` runs exactly as one that
+        returns ``v``: same positions, history and best.  A non-finite
+        ``np.float64`` never becomes a best either."""
+
+        def make():
+            calls = itertools.count()
+
+            def fitness(x):
+                if objective == "countdown":  # a new global best at every evaluation
+                    return -float(next(calls))
+                if objective != "sphere" and x[0] > 0.0:
+                    return math.nan if objective == "partial_nan" else -math.inf
+                return sphere(x)
+
+            return fitness
+
+        def numpy_valued():
+            fitness = make()
+            return lambda x: np.float64(fitness(x))
+
+        cfg = make_config(max_evaluations=2_000, rng_seed=2)
+        result, seen = record_run(cfg, make())
+        numpy_result, numpy_seen = record_run(cfg, numpy_valued())
+        assert numpy_seen == seen
+        assert numpy_result.history == result.history
+        assert numpy_result.best_position == result.best_position
+        assert numpy_result.best_value == result.best_value
+        assert numpy_result.evaluations_used == result.evaluations_used == 2_000
+        assert math.isfinite(numpy_result.best_value)
+        if objective.startswith("partial"):
+            assert numpy_result.best_position[0] <= 0.0
 
     def test_each_evaluation_gets_its_own_list(self):
         """Fitness gets a new list of D floats at every evaluation, which the
