@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, islice, repeat
 from operator import eq
@@ -45,7 +44,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .pso import finite_number, integer_setting
+from .pso import Frozen, finite_number, integer_setting
 from .stats import pearson
 from .timekit import DurationParseError, parse_duration, parse_durations
 
@@ -101,8 +100,7 @@ class SplitVector(NamedTuple):
         return self.swim + self.t1 + self.bike + self.t2 + self.run
 
 
-@dataclass(frozen=True, eq=False)
-class Archive:
+class Archive(Frozen):
     """Finisher rows of one race and group, ordered by finish place, by column.
 
     ``places`` is an int64 array and ``names`` and ``nations`` are tuples, one
@@ -116,24 +114,22 @@ class Archive:
     equal only when they are the same object.
     """
 
-    label: str
-    group: str
-    places: np.ndarray
-    names: tuple[str, ...]
-    nations: tuple[str, ...]
-    times: np.ndarray
+    __slots__ = ("label", "group", "places", "names", "nations", "times")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        places = _int64_places(self.places)
-        times = _read_only(self.times, np.float64)
-        object.__setattr__(self, "places", places)
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "nations", tuple(self.nations))
-        object.__setattr__(self, "times", times)
-        n = len(self.names)
-        if places.shape != (n,) or len(self.nations) != n or times.shape != (6, n):
+    def __init__(
+        self, label: str, group: str, places: np.ndarray, names: tuple[str, ...],
+        nations: tuple[str, ...], times: np.ndarray,
+    ) -> None:
+        places = _int64_places(places)
+        times = _read_only(times, np.float64)
+        names, nations = tuple(names), tuple(nations)
+        self._set(label, group, places, names, nations, times)
+        n = len(names)
+        if places.shape != (n,) or len(nations) != n or times.shape != (6, n):
             raise ArchiveError(
-                f"columns of unequal length: {n} names, {len(self.nations)} nations, "
+                f"columns of unequal length: {n} names, {len(nations)} nations, "
                 f"places of shape {places.shape}, times of shape {times.shape}"
             )
         if not n:
@@ -156,8 +152,7 @@ class Archive:
         return self.times[4]
 
 
-@dataclass(frozen=True, eq=False)
-class ResultRows:
+class ResultRows(Frozen):
     """The rows of a result file by column, as :func:`load_archive` keeps them.
 
     ``categories``, ``names`` and ``nations`` are tuples and ``places`` an
@@ -167,11 +162,15 @@ class ResultRows:
     :data:`MAX_PLACE`; places need not be in order.
     """
 
-    categories: tuple[str, ...]
-    places: np.ndarray
-    names: tuple[str, ...]
-    nations: tuple[str, ...]
-    times: np.ndarray
+    __slots__ = ("categories", "places", "names", "nations", "times")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, categories: tuple[str, ...], places: np.ndarray, names: tuple[str, ...],
+        nations: tuple[str, ...], times: np.ndarray,
+    ) -> None:
+        self._set(categories, places, names, nations, times)
 
     def __len__(self) -> int:
         return len(self.categories)

@@ -113,7 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-fes", type=int, default=10_000, help="evaluation budget per run (default 10000)"
     )
     p.add_argument("--c1", type=float, default=2.0, help="cognitive learning factor")
-    p.add_argument("--c2", type=float, default=2.0, help="social learning factor")
+    p.add_argument(
+        "--c2", type=float, default=2.0,
+        help="social learning factor, above 0, or no particle ever moves (default 2.0)",
+    )
     p.add_argument(
         "--bounds",
         metavar="JSON",

@@ -14,14 +14,12 @@ same config always yields byte-identical output.
 from __future__ import annotations
 
 import csv
-import inspect
 import io
 import json
 import statistics
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .archive import (
     DISCIPLINES,
@@ -34,7 +32,7 @@ from .archive import (
     synthesize_archive,
 )
 from .preference import ModelConfig, NoFeasibleSolutionError, PredictionResult, predict
-from .pso import PsoConfig, integer_setting
+from .pso import Frozen, PsoConfig, integer_setting
 from .stats import archive_correlation
 from .timekit import format_split
 
@@ -42,31 +40,38 @@ OUTPUT_FORMATS = ("text", "csv", "json")
 
 SPLIT_HEADERS = ("Swimming", "T1", "Cycling", "T2", "Running")
 
-_SYNTH_KEYS = inspect.signature(synthesize_archive).parameters
+# the parameters of synthesize_archive, in its order: without and with a default
+_SPEC_REQUIRED = ("seed", "size", "r_swim_bike", "r_bike_run", "means", "spreads")
+_SPEC_OPTIONAL = ("tolerance", "max_tries", "label", "group")
+
+# "model not given", told apart from an explicit model=None
+_DEFAULT = object()
 
 
 class ExperimentError(RuntimeError):
     """The experiment produced no usable result (e.g. every run infeasible)."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything one experiment needs; no hidden state, fully seeds itself."""
+class ExperimentConfig(Frozen):
+    """Everything one experiment needs; no hidden state, fully seeds itself.
+    Without ``model`` it runs a fresh ``ModelConfig()``."""
 
-    archive_path: str | None = None
-    archive_format: str = "auto"
-    synth_spec: dict | None = None
-    group: str | None = None
-    top_n: int = 30
-    runs: int = 5
-    base_seed: int = 0
-    swarm_size: int = 50
-    max_evaluations: int = 10_000
-    c1: float = 2.0
-    c2: float = 2.0
-    model: ModelConfig = field(default_factory=ModelConfig)
+    __slots__ = (
+        "archive_path", "archive_format", "synth_spec", "group", "top_n", "runs",
+        "base_seed", "swarm_size", "max_evaluations", "c1", "c2", "model",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, archive_path: str | None = None, archive_format: str = "auto",
+        synth_spec: dict | None = None, group: str | None = None, top_n: int = 30,
+        runs: int = 5, base_seed: int = 0, swarm_size: int = 50,
+        max_evaluations: int = 10_000, c1: float = 2.0, c2: float = 2.0,
+        model: ModelConfig = _DEFAULT,
+    ) -> None:
+        self._set(
+            archive_path, archive_format, synth_spec, group, top_n, runs, base_seed,
+            swarm_size, max_evaluations, c1, c2, ModelConfig() if model is _DEFAULT else model,
+        )
         if (self.archive_path is None) == (self.synth_spec is None):
             raise ValueError("exactly one of archive_path and synth_spec must be set")
         if self.archive_path is not None and self.group is None:
@@ -83,8 +88,12 @@ class ExperimentConfig:
                 f"got {self.base_seed}"
             )
         self.pso_config(1)  # the swarm settings fail here, before any work
-        if self.swarm_size < 2:  # a lone particle starts at both bests and never moves
+        # Velocities start at 0 and every particle at its own best, so a swarm
+        # with one particle, or with no pull toward the global best, never moves.
+        if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be at least 2, got {self.swarm_size}")
+        if self.c2 == 0:
+            raise ValueError(f"c2 must be positive, or no particle ever moves, got {self.c2!r}")
 
     def pso_config(self, index: int) -> PsoConfig:
         """Swarm settings of run ``index`` (1-based), seeded ``base_seed + index``."""
@@ -99,8 +108,7 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """One prediction run: its prediction, or the reason it has none."""
 
     index: int
@@ -119,8 +127,7 @@ class RunOutcome:
         return (*splits, splits.total())
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     archive_label: str
     archive_group: str
     archive_size: int
@@ -137,10 +144,10 @@ def synthesize_from_spec(spec: dict) -> Archive:
     Required: seed, size, r_swim_bike, r_bike_run, means, spreads.
     Optional: label, group, tolerance, max_tries.
     """
-    unknown = set(spec) - set(_SYNTH_KEYS)
+    unknown = set(spec) - {*_SPEC_REQUIRED, *_SPEC_OPTIONAL}
     if unknown:
         raise ValueError(f"unknown synthesis spec key(s): {sorted(unknown)}")
-    missing = {k for k, p in _SYNTH_KEYS.items() if p.default is p.empty} - set(spec)
+    missing = set(_SPEC_REQUIRED) - set(spec)
     if missing:
         raise ValueError(f"synthesis spec missing key(s): {sorted(missing)}")
     return synthesize_archive(**spec)

@@ -25,11 +25,11 @@ the numbers the reports print.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
 from numbers import Real
+from typing import NamedTuple
 
 from .archive import DISCIPLINES, Archive, SplitVector, extend_archive
-from .pso import Fitness, PsoConfig, finite_number, run
+from .pso import Fitness, Frozen, PsoConfig, finite_number, run
 from .stats import (  # noqa: F401  -- pearson stays a module attribute for span tracers
     CorrelationPair,
     CorrelationUndefinedError,
@@ -60,21 +60,25 @@ def _finite_pair(name: str, pair: object) -> tuple[float, float]:
     )
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+# "bounds not given": None cannot say it, since ModelConfig refuses bounds=None
+_DEFAULT = object()
+
+
+class ModelConfig(Frozen):
     """Feasible box and target ceiling.
 
+    Without ``bounds`` the box is a fresh copy of :data:`DEFAULT_BOUNDS`.
     The target ceiling must be reachable inside the box (between the sums of
     the lower and upper bounds, and at most half the largest float),
     otherwise no plan can ever be feasible and construction fails outright.
     """
 
-    bounds: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_BOUNDS)
-    )
-    target_ceiling: float = 300.0
+    __slots__ = ("bounds", "target_ceiling")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, bounds: dict[str, tuple[float, float]] = _DEFAULT, target_ceiling: float = 300.0
+    ) -> None:
+        self._set(dict(DEFAULT_BOUNDS) if bounds is _DEFAULT else bounds, target_ceiling)
         if not isinstance(self.bounds, dict) or set(self.bounds) != set(DISCIPLINES):
             raise ValueError(f"bounds must be a dict covering exactly {DISCIPLINES}")
         for name in DISCIPLINES:
@@ -115,8 +119,7 @@ class ModelConfig:
         return tuple(self.bounds[n][1] for n in DISCIPLINES)
 
 
-@dataclass(frozen=True)
-class PredictionResult:
+class PredictionResult(NamedTuple):
     """The best plan of one run and the archive's correlation sum with it
     appended; the sum without it is ``archive_correlation(base).sum``."""
 
@@ -196,7 +199,10 @@ def predict(base: Archive, cfg: ModelConfig, pso_cfg: PsoConfig) -> PredictionRe
     an over-tight ceiling or an archive the target cannot correlate with.
     """
     base_pair = archive_correlation(base)
-    effective = replace(pso_cfg, lower=cfg.lower_bounds(), upper=cfg.upper_bounds())
+    effective = PsoConfig(
+        pso_cfg.swarm_size, cfg.lower_bounds(), cfg.upper_bounds(), pso_cfg.c1, pso_cfg.c2,
+        pso_cfg.max_evaluations, pso_cfg.rng_seed,
+    )
     result = run(effective, _position_fitness(base, cfg, base_pair))
     if result.best_value >= cfg.infeasible_penalty:
         raise NoFeasibleSolutionError(

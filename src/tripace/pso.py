@@ -69,9 +69,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,17 +111,52 @@ def finite_number(value: object) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PsoConfig:
-    swarm_size: int
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    c1: float = 2.0
-    c2: float = 2.0
-    max_evaluations: int = 10_000
-    rng_seed: int = 0
+class Frozen:
+    """Base of the validated classes: ``__init__`` sets the ``__slots__`` with
+    :meth:`_set`, and assigning or deleting one afterwards raises
+    AttributeError.  Instances of one class compare, and hash, by their
+    slots' values, and print as ``Name(slot=value, ...)``.  It needs no import
+    and runs no generated code when a class is defined, so the classes add
+    little to the start-up of every command."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class PsoConfig(Frozen):
+    """Swarm settings of one run; ``lower`` and ``upper`` are kept as tuples of floats."""
+
+    __slots__ = ("swarm_size", "lower", "upper", "c1", "c2", "max_evaluations", "rng_seed")
+
+    def __init__(
+        self, swarm_size: int, lower: Sequence[float], upper: Sequence[float],
+        c1: float = 2.0, c2: float = 2.0, max_evaluations: int = 10_000, rng_seed: int = 0,
+    ) -> None:
+        self._set(swarm_size, lower, upper, c1, c2, max_evaluations, rng_seed)
         for name in ("lower", "upper"):
             try:
                 bound = tuple(getattr(self, name))

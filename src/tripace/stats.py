@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +28,7 @@ class CorrelationUndefinedError(ValueError):
     variances too small or too large for a float to carry them."""
 
 
-@dataclass(frozen=True)
-class CorrelationPair:
+class CorrelationPair(NamedTuple):
     """Swim-bike and bike-run correlations of one archive, plus their sum."""
 
     r_swim_bike: float

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -13,8 +14,11 @@ import numpy as np
 import pytest
 
 from tables import SYNTH_MEANS, SYNTH_SPREADS, TABLE1_ROWS, table1_csv_text
+from tripace.archive import synthesize_archive
 from tripace.cli import main
 from tripace.experiment import (
+    _SPEC_OPTIONAL,
+    _SPEC_REQUIRED,
     ExperimentConfig,
     ExperimentError,
     ExperimentReport,
@@ -584,6 +588,7 @@ class TestPredictCommand:
         [
             ("--np", "0", "swarm_size must be positive, got 0"),
             ("--np", "1", "swarm_size must be at least 2, got 1"),
+            ("--c2", "0", "c2 must be positive, or no particle ever moves, got 0.0"),
             ("--seed", "-3", NEGATIVE_SEED_MESSAGE),
             (
                 "--max-fes", "10",
@@ -611,6 +616,11 @@ class TestPredictCommand:
         monkeypatch.setattr("tripace.experiment.synthesize_archive", no_synthesis)
         assert main(self.predict_args(["--np", "0"])) == 2
         assert capsys.readouterr().err == "error: swarm_size must be positive, got 0\n"
+
+    def test_zero_c1_is_accepted(self, capsys):
+        # the pull toward the global best alone moves the swarm
+        assert main(self.predict_args(["--c1", "0"])) == 0
+        assert capsys.readouterr().err == ""
 
     def test_wide_bounds_exit_0(self, capsys):
         # a box wider than the former fixed penalty of 1e6 minutes
@@ -800,14 +810,22 @@ class TestSynthCommand:
         [
             ({"colour": 1}, "unknown synthesis spec key(s): ['colour']"),
             ({"spreads": [0.0, *SYNTH_SPREADS[1:]]}, "split spreads must be positive"),
+            ({"means": None, "seed": None}, "synthesis spec missing key(s): ['means', 'seed']"),
         ],
-        ids=["unknown-key", "zero-spread"],
+        ids=["unknown-key", "zero-spread", "missing-keys"],
     )
     def test_refused_spec_exits_2(self, tmp_path, capsys, entries, message):
-        spec = json.dumps(dict(HIGH_SPEC, **entries))
+        # an entry of None drops that key from the spec
+        spec = {key: value for key, value in dict(HIGH_SPEC, **entries).items() if value is not None}
+        spec = json.dumps(spec)
         code = main(["synth", "--synth-spec", spec, "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_spec_keys_are_the_parameters_of_the_generator(self):
+        parameters = inspect.signature(synthesize_archive).parameters.values()
+        assert _SPEC_REQUIRED == tuple(p.name for p in parameters if p.default is p.empty)
+        assert _SPEC_OPTIONAL == tuple(p.name for p in parameters if p.default is not p.empty)
 
     def test_integral_float_entries_accepted(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
